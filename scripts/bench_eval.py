@@ -5,9 +5,11 @@ Times the three layers this harness optimises and writes the results to
 ``BENCH_eval.json`` so the performance trajectory is tracked PR over PR:
 
 * **replay** — the Figure 1 + §4.2-ablation replay stage: one
-  ``simulate`` per configuration (the old per-config path, 15 full
-  trace decodes) vs one ``simulate_many`` pass (decode once, batched
-  accesses, miss-only counting).
+  per-access ``simulate`` per configuration (the reference, 15 full
+  passes) vs one ``simulate_many`` call (geometry-specialised kernels,
+  the trace compacted once into same-block runs for the store-in
+  configurations, miss-only counting).  Every per-area and per-command
+  counter must match before either time is recorded.
 * **eval all** — wall-clock of ``psi-eval all`` as a subprocess:
   serial without the disk cache (the from-scratch path), ``--jobs N``
   cold (first parallel run, populates ``.psi-cache``), and ``--jobs N``
@@ -86,10 +88,17 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 
+def _counters(stats) -> tuple:
+    """Every counter of a ``CacheStats``: per area, per command, events."""
+    return ([(c.hits, c.misses) for c in stats.per_area.values()],
+            dict(stats.per_cmd_hits), dict(stats.per_cmd_misses),
+            stats.block_fetches, stats.writebacks, stats.through_writes)
+
+
 def bench_replay() -> dict:
     """Per-config simulate vs single-pass simulate_many, same 15 configs."""
     from repro.eval.runner import run_spec
-    from repro.memsys import CacheConfig, WritePolicy
+    from repro.memsys import CacheConfig, WritePolicy, compact_runs
     from repro.tools.pmms import FIGURE1_CAPACITIES, simulate, simulate_many
 
     run = run_spec("window-1", "faithful", record_trace=True)
@@ -115,16 +124,14 @@ def bench_replay() -> dict:
     single_pass = simulate_many(trace, configs)
     t_single_pass = time.perf_counter() - t0
 
-    for old, new in zip(per_config, single_pass):
-        identical = (old.hits, old.misses, old.block_fetches, old.writebacks,
-                     old.through_writes) == (new.hits, new.misses,
-                                             new.block_fetches, new.writebacks,
-                                             new.through_writes)
-        if not identical:
-            raise AssertionError("single-pass replay diverged from per-config")
+    for config, old, new in zip(configs, per_config, single_pass):
+        if _counters(old) != _counters(new):
+            raise AssertionError(
+                f"single-pass replay diverged from per-config at {config}")
 
     return {
         "trace_entries": len(trace),
+        "compacted_runs": len(compact_runs(trace.data, 2)),
         "configs": len(configs),
         "per_config_s": round(t_per_config, 3),
         "single_pass_s": round(t_single_pass, 3),

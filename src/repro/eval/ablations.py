@@ -15,8 +15,9 @@ from repro.eval.report import format_table
 from repro.eval.runner import run_spec
 from repro.tools.pmms import (
     ComparisonResult,
-    compare_associativity,
-    compare_write_policy,
+    associativity_pair,
+    compare_pairs,
+    write_policy_pair,
 )
 
 ASSOCIATIVITY_PROGRAMS = {"window": "window-1", "puzzle8": "puzzle8",
@@ -35,14 +36,14 @@ def generate() -> AblationResults:
     policy = None
     for paper_name, workload in ASSOCIATIVITY_PROGRAMS.items():
         run = run_spec(workload, record_trace=True)
-        # Pass the recorder itself: simulate_many's packed fast path
-        # replays the raw int entries without rebuilding cmd objects.
-        associativity[paper_name] = compare_associativity(run.trace, run.steps)
+        pairs = [associativity_pair()]
         if workload == POLICY_PROGRAM:
-            policy = compare_write_policy(run.trace, run.steps)
-    if policy is None:
-        run = run_spec(POLICY_PROGRAM, record_trace=True)
-        policy = compare_write_policy(run.trace, run.steps)
+            pairs.append(write_policy_pair())
+        # One replay per program, of the configurations the run's own
+        # cache (the production one) did not already cover.
+        associativity[paper_name], *rest = compare_pairs(run, run.steps, pairs)
+        if rest:
+            (policy,) = rest
     return AblationResults(associativity, policy)
 
 

@@ -33,7 +33,9 @@ class Figure1Result:
 
 def generate(workload: str = WORKLOAD, capacities=FIGURE1_CAPACITIES) -> Figure1Result:
     run = run_spec(workload, record_trace=True)
-    points = capacity_sweep(run.trace, run.steps, capacities)
+    # The run itself, not just its trace: the 8192-word point is the
+    # production configuration, whose stats the run already carries.
+    points = capacity_sweep(run, run.steps, capacities)
     return Figure1Result(points)
 
 

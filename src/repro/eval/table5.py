@@ -15,7 +15,7 @@ from repro.eval.runner import run_spec
 from repro.eval.table3 import HARDWARE_PROGRAMS
 from repro.eval.table4 import AREA_ORDER
 from repro.memsys import CacheConfig
-from repro.tools.pmms import simulate_many
+from repro.tools.pmms import replay_run
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,7 @@ def generate(programs: dict[str, str] | None = None,
     rows = []
     for paper_name, workload_name in (programs or HARDWARE_PROGRAMS).items():
         run = run_spec(workload_name, record_trace=True)
-        cfg = config or CacheConfig()
-        if run.cache is not None and run.cache.config == cfg:
-            # The run already carries this exact configuration's stats
-            # (collect's deferred replay of the same trace) — reuse
-            # them instead of replaying millions of accesses again.
-            stats = run.cache.stats
-        else:
-            # Packed batched replay — bit-identical to the per-access
-            # reference (pinned by tests/tools/test_collect_and_pmms.py)
-            # but never decodes the trace or rebuilds CacheCmd objects.
-            stats = simulate_many(run.trace, [cfg])[0]
+        (stats,) = replay_run(run, [config or CacheConfig()])
         rows.append(Table5Row(
             program=paper_name,
             ratios={area: stats.area_hit_ratio(area) for area in AREA_ORDER},

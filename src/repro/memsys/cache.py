@@ -15,7 +15,9 @@ stall time for Figure 1 and the store-in/store-through ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from array import array
+from dataclasses import dataclass
 
 from repro.core.memory import AREA_SHIFT, AREAS, Area
 from repro.core.micro import CMD_BY_CODE, CacheCmd
@@ -124,21 +126,12 @@ class CacheStats:
         }
 
 
-def count_entries(entries) -> tuple[dict, dict]:
-    """Per-area and per-command access totals of a decoded trace.
-
-    One pass, shared by every configuration replaying the same trace:
-    :meth:`Cache.access_many` turns these totals plus its miss counts
-    into full hit/miss statistics without touching a counter on the
-    (overwhelmingly more frequent) hit path.
-    """
-    area_counts = dict.fromkeys(range(len(Area)), 0)
-    cmd_counts = dict.fromkeys(CacheCmd, 0)
-    shift = AREA_SHIFT
-    for cmd, address in entries:
-        cmd_counts[cmd] += 1
-        area_counts[address >> shift] += 1
-    return area_counts, cmd_counts
+#: Lookup tables turning one byte of a packed entry into its command
+#: code (least significant byte) or its area (the byte holding bit
+#: ``AREA_SHIFT + 2``, where the area field starts; areas fit in it).
+_AREA_BYTE, _AREA_BIT = divmod(AREA_SHIFT + 2, 8)
+_CODE_OF_BYTE = bytes(b & 3 for b in range(256))
+_AREA_OF_BYTE = bytes(b >> _AREA_BIT for b in range(256))
 
 
 def count_entries_packed(data) -> tuple[list, list]:
@@ -147,19 +140,183 @@ def count_entries_packed(data) -> tuple[list, list]:
     The packed form is :attr:`repro.core.memory.TraceRecorder.data` —
     ``address << 2 | command_code`` ints, never decoded.  Returns flat
     lists indexed by area value and command code, the shape
-    :meth:`Cache.access_many_packed` consumes.
+    :meth:`Cache.access_many_packed` consumes.  Counted at C speed over
+    the raw int64 bytes rather than entry by entry: one byte of each
+    entry determines its command, another its area.
     """
-    area_counts = [0] * len(AREAS)
-    cmd_counts = [0] * len(CMD_BY_CODE)
-    shift = AREA_SHIFT + 2
+    raw = memoryview(data if isinstance(data, array)
+                     else array("q", data)).cast("B")
+    little = sys.byteorder == "little"
+    codes = raw[0 if little else 7::8].tobytes().translate(_CODE_OF_BYTE)
+    areas = raw[_AREA_BYTE if little else 7 - _AREA_BYTE::8].tobytes() \
+        .translate(_AREA_OF_BYTE)
+    return ([areas.count(area) for area in range(len(AREAS))],
+            [codes.count(code) for code in range(len(CMD_BY_CODE))])
+
+
+def compact_runs(data, block_shift: int) -> array:
+    """Merge each run of consecutive same-block accesses into one entry.
+
+    Returns one ``block << 3 | first_code << 1 | later_write`` int per
+    run (blocks of ``1 << block_shift`` words; ``later_write`` is set
+    when any access after the first writes).
+
+    In a store-in cache every access after a run's first hits — the
+    first one left the block resident — and can at most set its dirty
+    bit, so replaying the runs (:meth:`Cache.access_runs`) yields exactly
+    the statistics and final state of the full trace.  Not so under
+    store-through: a write miss does not allocate, so a later access of
+    the run may miss too.
+    """
+    runs = array("q")
+    append = runs.append
+    shift = block_shift + 2
+    head = -1
+    entry = later_write = 0
     for packed in data:
-        cmd_counts[packed & 3] += 1
-        area_counts[packed >> shift] += 1
-    return area_counts, cmd_counts
+        block = packed >> shift
+        if block == head:
+            if packed & 3:
+                later_write = 1
+            continue
+        append(entry | later_write)
+        head = block
+        entry = block << 3 | (packed & 3) << 1
+        later_write = 0
+    append(entry | later_write)
+    del runs[0]        # the placeholder appended before the first run
+    return runs
 
 
 #: Sentinel distinguishing "absent" from a stored False dirty bit.
 _ABSENT = object()
+
+
+# -- replay kernels ---------------------------------------------------------------
+#
+# Each kernel replays a whole entry sequence against one cache's sets and
+# returns its write-back count, adding misses into the per-area and
+# per-command lists it is handed.  Hits are never counted: they fall out
+# as totals minus misses.  Entries are read through three parameters so
+# one body serves both layouts (see ``Cache._replay``): the block number
+# is ``entry >> bshift``, the command code ``entry >> cshift & 3``, and
+# ``entry & wmask`` is non-zero when the entry writes.  The 1- and
+# 2-way store-in kernels load the set dicts into flat lists, replay, and
+# write the dicts back in LRU order, so the cache state after a batch is
+# exactly what per-access :meth:`Cache.access` calls would leave.
+
+def _store_in_1way(sets, data, bshift, cshift, wmask, ashift,
+                   area_misses, cmd_misses) -> int:
+    n_sets = len(sets)
+    tags = [-1] * n_sets
+    dirty = [False] * n_sets
+    for s, ways in enumerate(sets):
+        if ways:
+            ((tags[s], dirty[s]),) = ways.items()
+    writebacks = 0
+    for entry in data:
+        block = entry >> bshift
+        s = block % n_sets
+        if tags[s] == block:
+            if entry & wmask:
+                dirty[s] = True
+            continue
+        area_misses[block >> ashift] += 1
+        cmd_misses[entry >> cshift & 3] += 1
+        if dirty[s]:
+            writebacks += 1
+        tags[s] = block
+        dirty[s] = entry & wmask != 0
+    sets[:] = [{tag: d} if tag >= 0 else {} for tag, d in zip(tags, dirty)]
+    return writebacks
+
+
+def _store_in_2way(sets, data, bshift, cshift, wmask, ashift,
+                   area_misses, cmd_misses) -> int:
+    n_sets = len(sets)
+    mru = [-1] * n_sets
+    lru = [-1] * n_sets
+    mru_dirty = [False] * n_sets
+    lru_dirty = [False] * n_sets
+    for s, ways in enumerate(sets):
+        if ways:
+            *older, (mru[s], mru_dirty[s]) = ways.items()
+            if older:
+                ((lru[s], lru_dirty[s]),) = older
+    writebacks = 0
+    for entry in data:
+        block = entry >> bshift
+        s = block % n_sets
+        if mru[s] == block:
+            if entry & wmask:
+                mru_dirty[s] = True
+            continue
+        if lru[s] == block:
+            # Hit in the LRU way: the two ways swap places.
+            lru[s] = mru[s]
+            mru[s] = block
+            dirty = lru_dirty[s]
+            lru_dirty[s] = mru_dirty[s]
+            mru_dirty[s] = dirty or entry & wmask != 0
+            continue
+        area_misses[block >> ashift] += 1
+        cmd_misses[entry >> cshift & 3] += 1
+        if lru_dirty[s]:
+            writebacks += 1
+        lru[s] = mru[s]
+        lru_dirty[s] = mru_dirty[s]
+        mru[s] = block
+        mru_dirty[s] = entry & wmask != 0
+    sets[:] = [{old: old_d, new: new_d} if old >= 0
+               else {new: new_d} if new >= 0 else {}
+               for old, old_d, new, new_d
+               in zip(lru, lru_dirty, mru, mru_dirty)]
+    return writebacks
+
+
+def _store_in_dict(sets, data, bshift, cshift, wmask, ashift,
+                   area_misses, cmd_misses, max_ways) -> int:
+    n_sets = len(sets)
+    absent = _ABSENT
+    writebacks = 0
+    for entry in data:
+        block = entry >> bshift
+        ways = sets[block % n_sets]
+        dirty = ways.pop(block, absent)
+        if dirty is not absent:
+            # Hit: re-insert at the MRU end; a write dirties.
+            ways[block] = True if entry & wmask else dirty
+            continue
+        area_misses[block >> ashift] += 1
+        cmd_misses[entry >> cshift & 3] += 1
+        if len(ways) >= max_ways:
+            if ways.pop(next(iter(ways))):
+                writebacks += 1
+        # Write-allocate: a write miss installs a dirty block.
+        ways[block] = entry & wmask != 0
+    return writebacks
+
+
+def _store_through(sets, data, bshift, ashift, area_misses, cmd_misses,
+                   max_ways) -> None:
+    # Every write (hit or miss) goes to memory, write misses do not
+    # allocate, and blocks are never dirty.
+    n_sets = len(sets)
+    absent = _ABSENT
+    for packed in data:
+        block = packed >> bshift
+        ways = sets[block % n_sets]
+        if ways.pop(block, absent) is not absent:
+            ways[block] = False
+            continue
+        area_misses[block >> ashift] += 1
+        code = packed & 3
+        cmd_misses[code] += 1
+        if code:
+            continue
+        if len(ways) >= max_ways:
+            ways.pop(next(iter(ways)))
+        ways[block] = False
 
 
 class Cache:
@@ -170,10 +327,12 @@ class Cache:
 
     Each set is an insertion-ordered dict ``{block_number: dirty}``
     whose key order *is* the LRU order (first = least recent): a hit
-    pops and re-inserts its block, eviction pops the first key.  Dict
-    sets keep both the per-access listener path (:meth:`access`) and
-    the batched replay path (:meth:`access_many`) free of Python-level
-    scan loops.
+    pops and re-inserts its block, eviction pops the first key.  That
+    dict list is the cache's one state: the per-access listener path
+    (:meth:`access`) works on it directly, and the batched replay path
+    (:meth:`access_many_packed`) picks a kernel by geometry — flat
+    tag lists for 1- and 2-way store-in caches, the dicts themselves
+    otherwise — and leaves the dicts as per-access calls would.
     """
 
     def __init__(self, config: CacheConfig | None = None):
@@ -232,168 +391,59 @@ class Cache:
         ways[block] = is_write and self._store_in
         return False
 
-    def access_many(self, entries, totals=None) -> None:
-        """Replay a whole ``(command, address)`` sequence in one call.
-
-        Semantically identical to calling :meth:`access` per entry, but
-        every per-access attribute lookup is hoisted out of the loop and
-        — the decisive part — the hot loop counts only *misses*: hits
-        fall out as ``totals - misses`` at the end.  ``totals`` is the
-        ``(area_counts, cmd_counts)`` pair from :func:`count_entries`;
-        pass it in when replaying one trace through many configurations
-        (:func:`repro.tools.pmms.simulate_many`) so it is computed once.
-        """
-        cfg = self.config
-        sets = self._sets
-        n_sets = cfg.sets
-        block_shift = self._block_shift
-        max_ways = cfg.ways
-        store_in = cfg.policy == WritePolicy.STORE_IN
-        ws_no_fetch = cfg.write_stack_no_fetch
-        read_cmd = CacheCmd.READ
-        ws_cmd = CacheCmd.WRITE_STACK
-        area_shift = AREA_SHIFT
-
-        if totals is None:
-            entries = list(entries)
-            totals = count_entries(entries)
-        area_totals, cmd_totals = totals
-
-        stats = self.stats
-        absent = _ABSENT
-        next_ = next
-        iter_ = iter
-        area_misses = dict.fromkeys(range(len(Area)), 0)
-        cmd_misses = dict.fromkeys(CacheCmd, 0)
-        block_fetches = 0
-        writebacks = 0
-
-        if store_in:
-            for cmd, address in entries:
-                block = address >> block_shift
-                ways = sets[block % n_sets]
-                dirty = ways.pop(block, absent)
-                if dirty is not absent:
-                    # Hit: re-insert at the MRU end; a write dirties.
-                    ways[block] = True if cmd is not read_cmd else dirty
-                    continue
-                area_misses[address >> area_shift] += 1
-                cmd_misses[cmd] += 1
-                if not (ws_no_fetch and cmd is ws_cmd):
-                    block_fetches += 1
-                if len(ways) >= max_ways:
-                    if ways.pop(next_(iter_(ways))):
-                        writebacks += 1
-                # Write-allocate: a write miss installs a dirty block.
-                ways[block] = cmd is not read_cmd
-            through_writes = 0
-        else:
-            # Store-through: every write (hit or miss) goes to memory,
-            # write misses do not allocate, and blocks are never dirty.
-            for cmd, address in entries:
-                block = address >> block_shift
-                ways = sets[block % n_sets]
-                if ways.pop(block, absent) is not absent:
-                    ways[block] = False
-                    continue
-                area_misses[address >> area_shift] += 1
-                cmd_misses[cmd] += 1
-                if cmd is not read_cmd:
-                    continue
-                block_fetches += 1
-                if len(ways) >= max_ways:
-                    ways.pop(next_(iter_(ways)))
-                ways[block] = False
-            through_writes = sum(n for cmd, n in cmd_totals.items()
-                                 if cmd is not read_cmd)
-
-        per_area = stats.per_area
-        for area in Area:
-            counts = per_area[area]
-            misses = area_misses[area]
-            counts.hits += area_totals[area] - misses
-            counts.misses += misses
-        per_cmd_hits = stats.per_cmd_hits
-        per_cmd_misses = stats.per_cmd_misses
-        for cmd in CacheCmd:
-            misses = cmd_misses[cmd]
-            per_cmd_hits[cmd] += cmd_totals[cmd] - misses
-            per_cmd_misses[cmd] += misses
-        stats.block_fetches += block_fetches
-        stats.writebacks += writebacks
-        stats.through_writes += through_writes
-
     def access_many_packed(self, data, totals=None) -> None:
         """Replay a packed int trace (``address << 2 | code``) in one call.
 
-        Semantically identical to :meth:`access_many` over the decoded
-        entries, but the command objects are never rebuilt: commands are
-        compared as the 2-bit codes the trace already carries
-        (``CMD_BY_CODE`` order — READ=0, WRITE=1, WRITE_STACK=2).
+        Semantically identical to calling :meth:`access` per entry —
+        statistics and final set state alike — but commands stay the
+        2-bit codes the trace carries (``CMD_BY_CODE`` order — READ=0,
+        WRITE=1, WRITE_STACK=2) and the loop counts only misses.
         ``totals`` is the pair from :func:`count_entries_packed`; pass
-        it when replaying one trace through many configurations.
+        it when the caller already has it.
         """
-        sets = self._sets
-        n_sets = self._n_sets
-        block_shift = self._block_shift + 2
-        area_shift = AREA_SHIFT + 2
-        max_ways = self._max_ways
-        store_in = self._store_in
-        ws_no_fetch = self._ws_no_fetch
-
         if totals is None:
             totals = count_entries_packed(data)
-        area_totals, cmd_totals = totals
+        self._replay(data, totals)
 
-        stats = self.stats
-        absent = _ABSENT
-        next_ = next
-        iter_ = iter
+    def access_runs(self, runs, totals) -> None:
+        """Replay :func:`compact_runs` output (store-in caches only).
+
+        ``runs`` must be compacted at this cache's block size and
+        ``totals`` be the :func:`count_entries_packed` pair of the
+        uncompacted trace; the result equals :meth:`access_many_packed` over the
+        uncompacted trace.
+        """
+        self._replay(runs, totals, runs=True)
+
+    def _replay(self, data, totals, runs: bool = False) -> None:
+        area_totals, cmd_totals = totals
         area_misses = [0] * len(AREAS)
         cmd_misses = [0] * len(CMD_BY_CODE)
-        block_fetches = 0
-        writebacks = 0
-
-        if store_in:
-            for packed in data:
-                block = packed >> block_shift
-                ways = sets[block % n_sets]
-                dirty = ways.pop(block, absent)
-                code = packed & 3
-                if dirty is not absent:
-                    # Hit: re-insert at the MRU end; a write dirties.
-                    ways[block] = True if code else dirty
-                    continue
-                area_misses[packed >> area_shift] += 1
-                cmd_misses[code] += 1
-                if not (ws_no_fetch and code == 2):
-                    block_fetches += 1
-                if len(ways) >= max_ways:
-                    if ways.pop(next_(iter_(ways))):
-                        writebacks += 1
-                # Write-allocate: a write miss installs a dirty block.
-                ways[block] = code != 0
+        ashift = AREA_SHIFT - self._block_shift
+        if self._store_in:
+            layout = (3, 1, 7) if runs else (self._block_shift + 2, 0, 3)
+            if self._max_ways == 1:
+                writebacks = _store_in_1way(self._sets, data, *layout, ashift,
+                                            area_misses, cmd_misses)
+            elif self._max_ways == 2:
+                writebacks = _store_in_2way(self._sets, data, *layout, ashift,
+                                            area_misses, cmd_misses)
+            else:
+                writebacks = _store_in_dict(self._sets, data, *layout, ashift,
+                                            area_misses, cmd_misses,
+                                            self._max_ways)
+            block_fetches = sum(cmd_misses)
+            if self._ws_no_fetch:
+                block_fetches -= cmd_misses[2]
             through_writes = 0
         else:
-            # Store-through: every write (hit or miss) goes to memory,
-            # write misses do not allocate, and blocks are never dirty.
-            for packed in data:
-                block = packed >> block_shift
-                ways = sets[block % n_sets]
-                if ways.pop(block, absent) is not absent:
-                    ways[block] = False
-                    continue
-                area_misses[packed >> area_shift] += 1
-                code = packed & 3
-                cmd_misses[code] += 1
-                if code:
-                    continue
-                block_fetches += 1
-                if len(ways) >= max_ways:
-                    ways.pop(next_(iter_(ways)))
-                ways[block] = False
+            _store_through(self._sets, data, self._block_shift + 2, ashift,
+                           area_misses, cmd_misses, self._max_ways)
+            writebacks = 0
+            block_fetches = cmd_misses[0]
             through_writes = cmd_totals[1] + cmd_totals[2]
 
+        stats = self.stats
         per_area = stats.per_area
         for area in AREAS:
             counts = per_area[area]
@@ -409,12 +459,6 @@ class Cache:
         stats.block_fetches += block_fetches
         stats.writebacks += writebacks
         stats.through_writes += through_writes
-
-    def _fill(self, ways: dict, block: int, dirty: bool) -> None:
-        if len(ways) >= self.config.ways:
-            if ways.pop(next(iter(ways))):      # evict the LRU block
-                self.stats.writebacks += 1
-        ways[block] = dirty
 
     # -- maintenance -----------------------------------------------------------------
 

@@ -22,8 +22,9 @@ word values (the trace carries addresses, never data):
   10-word frames (:data:`repro.core.machine.CONTROL_FRAME_WORDS`), so
   its extent *is* the frame chain and every inferred truncation is a
   backtrack event;
-* **cache state**: the production cache replayed access-for-access —
-  resident blocks in true LRU order plus the full hit/miss statistics.
+* **cache state**: the production cache replayed through the PMMS
+  batched kernel — resident blocks in true LRU order plus the full
+  hit/miss statistics, exactly as access-for-access replay leaves them.
 
 Stack truncations (``settop``) are not themselves traced; they are
 *inferred* when a Write-stack lands below the observed top.  The model
@@ -196,37 +197,44 @@ class ReplayState:
 
     def apply(self, packed: int) -> None:
         """Advance the state by one packed trace entry."""
-        code = packed & 3
-        address = packed >> 2
-        area = self.areas[address >> AREA_SHIFT]
-        offset = address & OFFSET_MASK
-        bucket = offset >> _HEAT_SHIFT
-        heat = area.heat
-        heat[bucket] = heat.get(bucket, 0) + 1
-        if code == 2:                      # WRITE_STACK: push, may reveal reclaim
-            area.stack_writes += 1
-            if offset < area.top:
-                area.reclaims += 1
-                area.reclaimed_words += area.top - offset
-                if address >> AREA_SHIFT == _CONTROL:
-                    self.backtracks += 1
-            area.top = offset + 1
-        else:
-            if code == 0:
-                area.reads += 1
-            else:
-                area.writes += 1
-            if offset >= area.top:
-                area.top = offset + 1
-        if area.top > area.high_water:
-            area.high_water = area.top
-        if self.cache is not None:
-            self.cache.access(CMD_BY_CODE[code], address)
-        self.step += 1
+        self.apply_many((packed,))
 
     def apply_many(self, packed_entries) -> None:
+        """Advance the state by a sequence of packed trace entries.
+
+        Area bookkeeping runs per entry; the cache then replays the
+        whole segment in one :meth:`~repro.memsys.Cache.access_many_packed`
+        call (the PMMS kernel) — nothing reads cache state mid-segment.
+        """
+        areas = self.areas
         for packed in packed_entries:
-            self.apply(packed)
+            code = packed & 3
+            address = packed >> 2
+            area = areas[address >> AREA_SHIFT]
+            offset = address & OFFSET_MASK
+            bucket = offset >> _HEAT_SHIFT
+            heat = area.heat
+            heat[bucket] = heat.get(bucket, 0) + 1
+            if code == 2:                  # WRITE_STACK: push, may reveal reclaim
+                area.stack_writes += 1
+                if offset < area.top:
+                    area.reclaims += 1
+                    area.reclaimed_words += area.top - offset
+                    if address >> AREA_SHIFT == _CONTROL:
+                        self.backtracks += 1
+                area.top = offset + 1
+            else:
+                if code == 0:
+                    area.reads += 1
+                else:
+                    area.writes += 1
+                if offset >= area.top:
+                    area.top = offset + 1
+            if area.top > area.high_water:
+                area.high_water = area.top
+        self.step += len(packed_entries)
+        if self.cache is not None:
+            self.cache.access_many_packed(packed_entries)
 
     # -- derived registers ----------------------------------------------------
 
@@ -356,14 +364,19 @@ class TraceExplorer:
         bucket_span = max(1, -(-self.n_steps // n_buckets))  # ceil division
         self._checkpoints.append(state.snapshot())
         prev = _TimelineCursor(state)
-        apply = state.apply
         data = self.data
-        for step in range(0, self.n_steps, stride):
-            for packed in data[step:step + stride]:
-                apply(packed)
-                if state.step % bucket_span == 0:
-                    self.timeline.append(prev.advance(state))
-            if state.step % stride == 0 and state.step < self.n_steps:
+        # Replay segment by segment up to the next bucket end or
+        # checkpoint, whichever comes first: those are the only points
+        # where anything reads the state.
+        step = 0
+        while step < self.n_steps:
+            end = min(step - step % bucket_span + bucket_span,
+                      step - step % stride + stride, self.n_steps)
+            state.apply_many(data[step:end])
+            step = end
+            if step % bucket_span == 0:
+                self.timeline.append(prev.advance(state))
+            if step % stride == 0 and step < self.n_steps:
                 self._checkpoints.append(state.snapshot())
         if self.n_steps % bucket_span:
             self.timeline.append(prev.advance(state))

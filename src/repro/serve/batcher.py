@@ -1,8 +1,9 @@
 """Coalescing of compatible cache-replay requests.
 
 Replay is the service's cheapest op per unit of asked-for work — one
-``simulate_many`` pass decodes a workload's packed trace once and runs
-any number of cache configurations over it (PR 1).  The batcher turns
+:func:`~repro.tools.pmms.replay_run` call runs any number of cache
+configurations over a workload's packed trace in a single
+``simulate_many`` pass.  The batcher turns
 that property into a serving win: replay requests that name the **same
 workload and run spec** (the compatibility criterion — one workload
 under one spec yields one trace) and arrive within one *batch window*

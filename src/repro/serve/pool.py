@@ -93,18 +93,18 @@ def worker_replay(name: str, spec_name: str, configs: list[dict]) -> dict:
 
     The trace comes from the ``spec_name`` run (any PSI spec — the
     server rejects baseline specs, which record no trace).  One
-    ``simulate_many`` pass serves the whole batch — the trace is
-    decoded once no matter how many client requests were coalesced into
-    ``configs``.  Statistics are bit-identical to a per-config
-    ``simulate`` (the PR-1 equivalence contract, re-asserted end-to-end
-    by ``tests/serve/test_server_e2e.py``).
+    :func:`~repro.tools.pmms.replay_run` call serves the whole batch:
+    a configuration equal to the run's own cache reuses its stats, the
+    rest replay in one ``simulate_many`` pass no matter how many client
+    requests were coalesced into ``configs``.  Statistics are
+    bit-identical to a per-config ``simulate`` (the equivalence
+    contract, re-asserted end-to-end by ``tests/serve/test_server_e2e.py``).
     """
     from repro.eval.runner import run_spec
-    from repro.tools.pmms import simulate_many
+    from repro.tools.pmms import replay_run
 
     run = run_spec(name, spec_name, record_trace=True)
-    stats = simulate_many(run.trace, [cache_config_from_json(c)
-                                      for c in configs])
+    stats = replay_run(run, [cache_config_from_json(c) for c in configs])
     return {
         "workload": name,
         "spec": spec_name,

@@ -18,6 +18,7 @@ from repro.tools.pmms import (
     compare_write_policy,
     improvement_from_stats,
     performance_improvement,
+    replay_run,
     simulate,
     simulate_many,
 )
@@ -26,7 +27,8 @@ __all__ = [
     "collect", "CollectedRun", "RunSummary",
     "branch_analysis", "wf_analysis", "module_analysis", "routine_histogram",
     "BranchRow", "WFRow",
-    "simulate", "simulate_many", "capacity_sweep", "performance_improvement",
+    "simulate", "simulate_many", "replay_run", "capacity_sweep",
+    "performance_improvement",
     "improvement_from_stats",
     "compare_associativity", "compare_write_policy",
     "SweepPoint", "ComparisonResult", "FIGURE1_CAPACITIES",

@@ -5,50 +5,55 @@ COLLECT against various cache specifications to produce hit ratios and
 the capacity/organisation studies of §4.2.  This module does exactly
 that over a :class:`~repro.core.memory.TraceRecorder`:
 
-* :func:`simulate` — one configuration over one trace,
-* :func:`simulate_many` — many configurations over one trace, decoding
-  the packed trace exactly once (the fast path all studies use),
+* :func:`simulate` — one configuration over one trace, access by access
+  (the reference),
+* :func:`simulate_many` — many configurations over one trace in one
+  call (the fast path all studies use),
+* :func:`replay_run` — many configurations over a collected run's trace,
+  reusing the stats the run's own cache already carries,
 * :func:`capacity_sweep` — Figure 1's 8-word → 8K-word sweep,
 * :func:`compare_associativity` — the 1-set vs 2-set 4KW study,
 * :func:`compare_write_policy` — the store-in vs store-through study.
 
-Every multi-configuration study accepts either a
-:class:`~repro.core.memory.TraceRecorder` or an already-decoded list of
-``(CacheCmd, address)`` pairs (see ``TraceRecorder.decoded``), so a
-caller replaying one trace through several studies — e.g. the §4.2
-ablations, which run both comparisons on WINDOW — can pay the decode
-cost once.
+Every study accepts a :class:`~repro.core.memory.TraceRecorder`, a
+collected run (replayed through :func:`replay_run`), or a decoded list
+of ``(CacheCmd, address)`` pairs, which is packed once.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from repro.core.memory import TraceRecorder
+from repro.core.micro import CMD_BY_CODE
 from repro.memsys import (
     Cache,
     CacheConfig,
     CacheStats,
     WritePolicy,
-    count_entries,
+    compact_runs,
     count_entries_packed,
     execution_time,
     improvement_ratio,
     time_without_cache,
 )
+from repro.tools.collect import CollectedRun
 
 #: Figure 1's x axis: cache capacity from 8 words to 8K words.
 FIGURE1_CAPACITIES = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 
 
-def _decoded(trace) -> list:
-    """Accept a TraceRecorder or an already-decoded entry list."""
+def _packed(trace) -> array:
+    """The packed ``address << 2 | code`` entries of a TraceRecorder or
+    of a decoded ``(CacheCmd, address)`` list."""
     if isinstance(trace, TraceRecorder):
-        return trace.decoded()
-    return trace
+        return trace.data
+    return array("q", [address << 2 | cmd.code for cmd, address in trace])
 
 
-def simulate(trace: TraceRecorder, config: CacheConfig | None = None) -> CacheStats:
+def simulate(trace, config: CacheConfig | None = None) -> CacheStats:
     """Replay ``trace`` through a fresh cache with ``config``.
 
     This is the reference implementation: one :meth:`Cache.access` call
@@ -57,46 +62,69 @@ def simulate(trace: TraceRecorder, config: CacheConfig | None = None) -> CacheSt
     """
     cache = Cache(config or CacheConfig())
     access = cache.access
-    for cmd, address in _decoded(trace):
-        access(cmd, address)
+    for packed in _packed(trace):
+        access(CMD_BY_CODE[packed & 3], packed >> 2)
     return cache.stats
 
 
 def simulate_many(trace, configs) -> list[CacheStats]:
-    """Replay one trace through many configurations in a single pass.
+    """Replay one trace through many configurations in one call.
 
-    The packed trace is decoded once and each configuration's cache
-    consumes the decoded list through the batched
-    :meth:`~repro.memsys.Cache.access_many` — for Figure 1's 11
-    capacities this removes 10 redundant decode passes and all
-    per-access attribute traffic.  Statistics are bit-identical to
-    running :func:`simulate` once per configuration.
+    Each configuration's cache consumes the packed trace through its
+    geometry's batched kernel (:meth:`~repro.memsys.Cache.access_many_packed`).
+    When two or more store-in configurations share a block size, the
+    trace is first compacted once (:func:`~repro.memsys.compact_runs`)
+    — runs of consecutive same-block accesses collapse to one entry,
+    roughly halving the real traces — and those configurations replay
+    the runs instead.  A single configuration skips compaction, which
+    would cost about as much as the replay it saves.  Every
+    configuration turns its miss counts into hits with the trace's
+    access totals, counted once.  Statistics are bit-identical to running
+    :func:`simulate` once per configuration.
 
     In the evaluation pipeline the trace usually arrives from the
     persistent run cache (``RunSummary.trace_bytes`` rebuilt by
-    :func:`repro.eval.runner.run_psi`); replay is pure — deterministic
+    :func:`repro.eval.runner.run_spec`); replay is pure — deterministic
     in (trace, config) and independent of how the trace was obtained —
     which is what makes caching the trace instead of the replay results
     safe.
     """
-    stats = []
-    if isinstance(trace, TraceRecorder):
-        # Packed fast path: the 2-bit command codes in the trace drive
-        # the replay directly — CacheCmd objects are never rebuilt.
-        data = trace.data
-        totals = count_entries_packed(data)
-        for config in configs:
-            cache = Cache(config)
+    data = _packed(trace)
+    caches = [Cache(config) for config in configs]
+    store_in = Counter(cache.config.block_words for cache in caches
+                       if cache.config.policy == WritePolicy.STORE_IN)
+    runs = {block_words: compact_runs(data, block_words.bit_length() - 1)
+            for block_words, n in store_in.items() if n >= 2}
+    totals = count_entries_packed(data)
+    for cache in caches:
+        config = cache.config
+        if config.policy == WritePolicy.STORE_IN and config.block_words in runs:
+            cache.access_runs(runs[config.block_words], totals)
+        else:
             cache.access_many_packed(data, totals)
-            stats.append(cache.stats)
-        return stats
-    entries = _decoded(trace)
-    totals = count_entries(entries)
-    for config in configs:
-        cache = Cache(config)
-        cache.access_many(entries, totals)
-        stats.append(cache.stats)
-    return stats
+    return [cache.stats for cache in caches]
+
+
+def replay_run(run: CollectedRun, configs) -> list[CacheStats]:
+    """Statistics of ``run``'s trace under each of ``configs``.
+
+    A configuration equal to the one the run's own cache used gets that
+    cache's statistics (collect replayed the same trace through it);
+    the rest replay in a single :func:`simulate_many` call — and none at
+    all when nothing is unknown.
+    """
+    own = run.cache.config if run.cache is not None else None
+    unknown = list(dict.fromkeys(c for c in configs if c != own))
+    replayed = dict(zip(unknown, simulate_many(run.trace, unknown))) \
+        if unknown else {}
+    return [run.cache.stats if config == own else replayed[config]
+            for config in configs]
+
+
+def _stats_for(source, configs) -> list[CacheStats]:
+    if isinstance(source, CollectedRun):
+        return replay_run(source, configs)
+    return simulate_many(source, configs)
 
 
 @dataclass(frozen=True)
@@ -118,7 +146,7 @@ def improvement_from_stats(steps: int, stats: CacheStats) -> float:
 def performance_improvement(trace, steps: int,
                             config: CacheConfig) -> tuple[float, CacheStats]:
     """The paper's metric: ((Tnc/Tc) - 1) x 100 for one configuration."""
-    (stats,) = simulate_many(trace, [config])
+    (stats,) = _stats_for(trace, [config])
     return improvement_from_stats(steps, stats), stats
 
 
@@ -132,7 +160,7 @@ def capacity_sweep(trace, steps: int,
     point, 8 words, is two 4-word blocks in one set — as in the paper,
     which swept down to 8 words).
 
-    All capacities replay in one decode pass via :func:`simulate_many`.
+    All capacities replay in one :func:`simulate_many` call.
     """
     base = base or CacheConfig()
     configs = []
@@ -141,7 +169,7 @@ def capacity_sweep(trace, steps: int,
         configs.append(replace(base, capacity_words=capacity, ways=ways))
     return [SweepPoint(capacity, stats.hit_ratio,
                        improvement_from_stats(steps, stats))
-            for capacity, stats in zip(capacities, simulate_many(trace, configs))]
+            for capacity, stats in zip(capacities, _stats_for(trace, configs))]
 
 
 @dataclass(frozen=True)
@@ -163,28 +191,40 @@ class ComparisonResult:
         return 100.0 * (self.improvement_a - self.improvement_b) / self.improvement_a
 
 
-def _compare(trace, steps: int, label_a: str, config_a: CacheConfig,
-             label_b: str, config_b: CacheConfig) -> ComparisonResult:
-    stats_a, stats_b = simulate_many(trace, [config_a, config_b])
-    return ComparisonResult(label_a, label_b,
-                            improvement_from_stats(steps, stats_a),
-                            improvement_from_stats(steps, stats_b))
+def associativity_pair(set_capacity_words: int = 4096) -> tuple:
+    """Two 4KW sets vs one 4KW set, as ``((label, config), (label, config))``."""
+    return (("two 4KW sets",
+             CacheConfig(capacity_words=2 * set_capacity_words, ways=2)),
+            ("one 4KW set",
+             CacheConfig(capacity_words=set_capacity_words, ways=1)))
+
+
+def write_policy_pair(base: CacheConfig | None = None) -> tuple:
+    """Store-in vs store-through, as ``((label, config), (label, config))``."""
+    base = base or CacheConfig()
+    return (("store-in", replace(base, policy=WritePolicy.STORE_IN)),
+            ("store-through", replace(base, policy=WritePolicy.STORE_THROUGH)))
+
+
+def compare_pairs(trace, steps: int, pairs) -> list[ComparisonResult]:
+    """One :class:`ComparisonResult` per configuration pair, all pairs
+    replayed in one call."""
+    stats = iter(_stats_for(trace, [config for pair in pairs
+                                 for _, config in pair]))
+    return [ComparisonResult(label_a, label_b,
+                             improvement_from_stats(steps, next(stats)),
+                             improvement_from_stats(steps, next(stats)))
+            for (label_a, _), (label_b, _) in pairs]
 
 
 def compare_associativity(trace, steps: int,
                           set_capacity_words: int = 4096) -> ComparisonResult:
     """Two 4KW sets vs one 4KW set (§4.2: one set was only ~3% lower)."""
-    two_set = CacheConfig(capacity_words=2 * set_capacity_words, ways=2)
-    one_set = CacheConfig(capacity_words=set_capacity_words, ways=1)
-    return _compare(trace, steps, "two 4KW sets", two_set,
-                    "one 4KW set", one_set)
+    return compare_pairs(trace, steps,
+                         [associativity_pair(set_capacity_words)])[0]
 
 
 def compare_write_policy(trace, steps: int,
                          base: CacheConfig | None = None) -> ComparisonResult:
     """Store-in vs store-through (§4.2: store-in ~8% higher)."""
-    base = base or CacheConfig()
-    store_in = replace(base, policy=WritePolicy.STORE_IN)
-    store_through = replace(base, policy=WritePolicy.STORE_THROUGH)
-    return _compare(trace, steps, "store-in", store_in,
-                    "store-through", store_through)
+    return compare_pairs(trace, steps, [write_policy_pair(base)])[0]

@@ -1,7 +1,8 @@
 """Replay equivalence: the batched single-pass path vs the reference.
 
-``simulate_many`` (decode once, ``Cache.access_many``, miss-only
-counting) must produce **bit-identical** ``CacheStats`` to N independent
+``simulate_many`` (packed trace, geometry-specialised kernels, compacted
+same-block runs for the store-in configurations, miss-only counting)
+must produce **bit-identical** ``CacheStats`` to N independent
 ``simulate`` calls — over real workload traces, for all of Figure 1's
 capacities and both §4.2 ablation pairs.  Any divergence would silently
 corrupt the paper's reported numbers, so the comparison is exhaustive:
@@ -104,20 +105,20 @@ class TestSimulateManyEquivalence:
 
 class TestAccessManyIncremental:
     def test_totals_offload_matches_self_counting(self, trace):
-        """access_many with precomputed totals == access_many without."""
-        from repro.memsys import Cache, count_entries
+        """access_many_packed with precomputed totals == without."""
+        from repro.memsys import Cache, count_entries_packed
 
-        entries = trace.decoded()
         with_totals = Cache(CacheConfig())
-        with_totals.access_many(entries, count_entries(entries))
+        with_totals.access_many_packed(trace.data,
+                                       count_entries_packed(trace.data))
         self_counting = Cache(CacheConfig())
-        self_counting.access_many(entries)
+        self_counting.access_many_packed(trace.data)
         assert_stats_identical(self_counting.stats, with_totals.stats,
                                "totals offload")
 
     def test_packed_self_counting_matches_reference(self, trace):
         """access_many_packed without totals == the per-access reference."""
-        from repro.memsys import Cache, count_entries_packed
+        from repro.memsys import Cache
 
         for config in ablation_configs():
             packed = Cache(config)
@@ -126,10 +127,29 @@ class TestAccessManyIncremental:
                                    f"packed self-counting {config.policy}")
 
     def test_count_entries_packed_matches_decoded(self, trace):
-        from repro.memsys import count_entries, count_entries_packed
-
-        area_d, cmd_d = count_entries(trace.decoded())
-        area_p, cmd_p = count_entries_packed(trace.data)
-        assert list(area_p) == [area_d[i] for i in sorted(area_d)]
+        """The packed totals equal the reference replay's accesses."""
         from repro.core.micro import CMD_BY_CODE
-        assert list(cmd_p) == [cmd_d[cmd] for cmd in CMD_BY_CODE]
+        from repro.memsys import count_entries_packed
+
+        reference = simulate(trace, CacheConfig())
+        area_p, cmd_p = count_entries_packed(trace.data)
+        assert area_p == [counts.accesses
+                          for counts in reference.per_area.values()]
+        assert cmd_p == [reference.per_cmd_hits[cmd]
+                         + reference.per_cmd_misses[cmd]
+                         for cmd in CMD_BY_CODE]
+
+    def test_compacted_runs_match_reference(self, trace):
+        """Store-in replay of the compacted runs == the per-access reference."""
+        from repro.memsys import Cache, compact_runs, count_entries_packed
+
+        runs = compact_runs(trace.data, 2)
+        assert 0 < len(runs) < len(trace)
+        totals = count_entries_packed(trace.data)
+        for config in ablation_configs():
+            if config.policy != WritePolicy.STORE_IN:
+                continue
+            compacted = Cache(config)
+            compacted.access_runs(runs, totals)
+            assert_stats_identical(simulate(trace, config), compacted.stats,
+                                   f"compacted {config}")
