@@ -52,10 +52,10 @@ Times the three layers this harness optimises and writes the results to
   against the previous ``BENCH_eval.json`` and **fails** if the
   from-scratch pipeline regressed by more than ``--max-regress``
   percent (default 2).  The enabled path has a budget too:
-  ``--max-obs-overhead`` (default 150%) fails the run when tracing +
-  profiling cost more than that on top of the disabled interpreter
-  (the percentage is measured against the fused disabled-path time,
-  which observed runs cannot use — see the flag's help text).
+  ``--max-obs-overhead`` (default 30%) fails the run when tracing +
+  profiling cost more than that on top of the disabled interpreter;
+  observed runs take the same fused path, so the two times compare
+  like for like.
 
 Results also **append** to the run-history store
 (``results/history/history.jsonl``, disable with ``--no-history``), so
@@ -197,13 +197,13 @@ def bench_spec_cache() -> dict:
     }
 
 
-def bench_obs(workload_name: str = "window-1", repeats: int = 3) -> dict:
+def bench_obs(workload_name: str = "window-1", repeats: int = 5) -> dict:
     """Observability overhead: same workload, obs disabled vs enabled.
 
-    Uses the best of ``repeats`` in-process runs each way.  The enabled
-    overhead is informational (tracing/profiling is opt-in); the
-    disabled path's cost is checked by the ``serial_cold_s`` regression
-    assertion in :func:`main`.
+    Uses the best of ``repeats`` in-process runs each way, alternating
+    disabled and enabled runs so a drift in host speed hits both sides
+    alike.  The disabled path's cost is checked by the
+    ``serial_cold_s`` regression assertion in :func:`main`.
     """
     from repro import obs
     from repro.tools.collect import collect
@@ -220,9 +220,11 @@ def bench_obs(workload_name: str = "window-1", repeats: int = 3) -> dict:
         return time.perf_counter() - t0
 
     run_once()                       # warm-up: imports, code objects
-    disabled = min(run_once() for _ in range(repeats))
-    with obs.observed():
-        enabled = min(run_once() for _ in range(repeats))
+    disabled = enabled = float("inf")
+    for _ in range(repeats):
+        disabled = min(disabled, run_once())
+        with obs.observed():
+            enabled = min(enabled, run_once())
     obs.reset()
     return {
         "workload": workload_name,
@@ -422,18 +424,12 @@ def main(argv: list[str] | None = None) -> int:
                              "faithful one, on the backtracking-heavy "
                              "workload subset, falls below this floor "
                              "(default 1.15)")
-    parser.add_argument("--max-obs-overhead", type=float, default=150.0,
+    parser.add_argument("--max-obs-overhead", type=float, default=30.0,
                         metavar="PCT",
                         help="fail if the obs-enabled interpreter overhead "
                              "exceeds this percent of the disabled run "
-                             "(default 150) — the enabled-cost budget beside "
-                             "the zero-cost-when-disabled guarantee.  The "
-                             "budget is relative: superinstruction fusion "
-                             "made the disabled path ~2.5x faster while "
-                             "observed runs still take the per-op reference "
-                             "loop (the fused gate excludes instrumented "
-                             "collectors), so the same absolute per-step "
-                             "obs cost now reads as a larger percentage")
+                             "(default 30) — the enabled-cost budget beside "
+                             "the disabled path's regression gate")
     parser.add_argument("--no-history", action="store_true",
                         help="do not append the results to the run-history "
                              "store (results/history/)")

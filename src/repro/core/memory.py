@@ -236,10 +236,11 @@ class MemorySystem:
         #: append pre-packed ``address << 2 | code`` ints directly, with
         #: no per-access Python frame.  ``None`` otherwise.
         self._packed_append = None
-        #: Optional observability hook (``on_settop(area, offset, old_top)``):
-        #: receives stack truncations — the PSI's GC-free reclaim events —
-        #: when a :class:`repro.obs.session.StackObserver` is attached by
-        #: an observed run.  ``None`` (the default) costs one identity
+        #: Optional observability hook (``on_settop(area, offset)``):
+        #: receives stack truncations that shrink an area — the PSI's
+        #: GC-free reclaim events — when a
+        #: :class:`repro.obs.session.StackObserver` is attached by an
+        #: observed run.  ``None`` (the default) costs one identity
         #: check per ``settop``, nothing per word access.
         self.observer = None
 
@@ -309,8 +310,8 @@ class MemorySystem:
         words = self._words[area]
         if offset > len(words):
             raise MachineError(f"settop beyond top of {AREAS[area].label}")
-        if self.observer is not None:
-            self.observer.on_settop(AREAS[area], offset, len(words))
+        if self.observer is not None and offset < len(words):
+            self.observer.on_settop(area, offset)
         del words[offset:]
 
     def grow(self, area: Area, count: int, fill=None) -> int:

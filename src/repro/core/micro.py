@@ -179,12 +179,12 @@ class MicroRoutine:
 
     def __init__(self, name: str, steps: Iterable[MicroStep]):
         self.name = name
-        self.rid = len(_ALL_ROUTINES)
-        self.pair_base = self.rid * N_MODULES
-        _ALL_ROUTINES.append(self)
         self.steps = tuple(steps)
         if not self.steps:
             raise ValueError(f"routine {name!r} must have at least one step")
+        self.rid = len(_ALL_ROUTINES)
+        self.pair_base = self.rid * N_MODULES
+        _ALL_ROUTINES.append(self)
         self.n_steps = len(self.steps)
         self.wf1_counts = Counter(s.wf1 for s in self.steps if s.wf1 is not None)
         self.wf2_counts = Counter(s.wf2 for s in self.steps if s.wf2 is not None)

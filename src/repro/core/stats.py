@@ -33,6 +33,7 @@ from repro.core import micro as _micro
 from repro.core.micro import (
     CMD_BY_CODE,
     MEM_PAIR_BASE,
+    MEM_STEPS,
     MODULE_BY_INDEX,
     N_MODULES,
     NO_OPERATION_OPS,
@@ -59,22 +60,29 @@ class StatsCollector:
     """Accumulates microinstruction-stream statistics for one run."""
 
     __slots__ = ("module", "predicate", "inferences", "builtin_calls",
-                 "_pair_counts", "_mem_counts", "_fused_counts")
+                 "clock", "_pair_counts", "_mem_counts", "_fused_counts")
 
     def __init__(self) -> None:
         self.module: Module = Module.CONTROL
-        #: The workload predicate currently being resolved
-        #: (``functor/arity``), published by the machine at call,
-        #: proceed and backtrack boundaries.  The base collector only
-        #: stores it; the observability layer
-        #: (:class:`repro.obs.session.ObservedStatsCollector`) reads it
-        #: on every emission to attribute microsteps per predicate.
-        self.predicate: str = "(startup)"
         self.inferences = 0                            # user-predicate calls (LIPS)
         self.builtin_calls = 0
+        #: Running microstep clock: the steps billed so far, bumped by
+        #: every recording method and beside every inlined fused
+        #: increment in the machine.  The observability layer stamps
+        #: its trace events with it; it always equals
+        #: :attr:`total_steps` of everything billed.
+        self.clock = 0
         self._pair_counts: list[int] = [0] * _micro.pair_space()
         self._mem_counts: list[int] = [0] * (len(CMD_BY_CODE) * N_AREAS)
         self._fused_counts: list[int] = [0] * _fusion_slot_space()
+        #: The workload predicate currently being resolved
+        #: (``functor/arity``), published by the machine at call,
+        #: proceed and backtrack boundaries.  The base collector only
+        #: stores it; the observed collector
+        #: (:class:`repro.obs.session.ObservedStatsCollector`) swaps in
+        #: that predicate's count bank when it changes.  Assigned after
+        #: the count lists so a swapping subclass finds them in place.
+        self.predicate: str = "(startup)"
 
     # -- recording -----------------------------------------------------------
 
@@ -86,6 +94,7 @@ class StatsCollector:
         except IndexError:
             self._grow_pairs(index)
             self._pair_counts[index] += times
+        self.clock += routine.n_steps * times
 
     def emit_in(self, module: Module, routine: MicroRoutine, times: int = 1) -> None:
         index = routine.pair_base + module.idx
@@ -94,6 +103,7 @@ class StatsCollector:
         except IndexError:
             self._grow_pairs(index)
             self._pair_counts[index] += times
+        self.clock += routine.n_steps * times
 
     def mem_access(self, cmd: CacheCmd, area) -> None:
         code = cmd.code
@@ -104,6 +114,7 @@ class StatsCollector:
         except IndexError:
             self._grow_pairs(index)
             self._pair_counts[index] += 1
+        self.clock += MEM_STEPS[code]
 
     def mem_access_n(self, cmd: CacheCmd, area, times: int) -> None:
         """Batched :meth:`mem_access`: ``times`` identical accesses.
@@ -121,6 +132,7 @@ class StatsCollector:
         except IndexError:
             self._grow_pairs(index)
             self._pair_counts[index] += times
+        self.clock += MEM_STEPS[code] * times
 
     def emit_fused(self, fused) -> None:
         """Bill one static :class:`~repro.core.fusion.Superinstruction`.
@@ -133,11 +145,12 @@ class StatsCollector:
         :meth:`emit_in`/:meth:`mem_access_n` — guarded by
         ``tests/core/test_fusion.py`` and the golden digests.
 
-        The machine's fused dispatch sites inline this increment
-        directly (the fused gate guarantees the exact base class), so
-        this method is the API for tests and out-of-machine callers.
+        The machine's fused dispatch sites inline this increment (and
+        the clock bump) directly, so this method is the API for tests
+        and out-of-machine callers.
         """
         self._fused_counts[fused.slot] += 1
+        self.clock += fused.n_steps
 
     def emit_fused_dyn(self, fused) -> None:
         """Bill a dynamic superinstruction under the current module.
@@ -148,6 +161,7 @@ class StatsCollector:
         the absolute pair indices.
         """
         self._fused_counts[fused.sid6 + self.module.idx] += 1
+        self.clock += fused.n_steps
 
     def _flush_fused(self) -> None:
         """Fold accumulated fused billings into the flat counters.
@@ -408,6 +422,7 @@ class StatsCollector:
         self.predicate = state["predicate"]
         self.inferences = state["inferences"]
         self.builtin_calls = state["builtin_calls"]
+        self.clock = 0
         self._pair_counts = [0] * _micro.pair_space()
         self._mem_counts = [0] * (len(CMD_BY_CODE) * N_AREAS)
         self._fused_counts = [0] * _fusion_slot_space()

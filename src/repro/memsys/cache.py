@@ -111,8 +111,8 @@ class CacheStats:
         Used by the observability layer (``psi.cache.*`` metrics) and
         handy for ad-hoc inspection; cumulative totals only — windowed
         hit ratios over time come from
-        :class:`repro.obs.session.CacheWindowSampler`, which samples a
-        live cache while the run executes.
+        :func:`repro.obs.session.sample_cache_windows`, which replays a
+        run's recorded trace window by window.
         """
         return {
             "hits": self.hits,
@@ -194,10 +194,11 @@ _ABSENT = object()
 
 # -- replay kernels ---------------------------------------------------------------
 #
-# Each kernel replays a whole entry sequence against one cache's sets and
-# returns its write-back count, adding misses into the per-area and
-# per-command lists it is handed.  Hits are never counted: they fall out
-# as totals minus misses.  Entries are read through three parameters so
+# Each kernel replays a sequence of entry segments against one cache's
+# sets and returns its write-back count, adding misses into the per-area
+# and per-command lists it is handed (:meth:`Cache.access_windows` reads
+# them between segments).  Hits are never counted: they fall out as
+# totals minus misses.  Entries are read through three parameters so
 # one body serves both layouts (see ``Cache._replay``): the block number
 # is ``entry >> bshift``, the command code ``entry >> cshift & 3``, and
 # ``entry & wmask`` is non-zero when the entry writes.  The 1- and
@@ -205,7 +206,7 @@ _ABSENT = object()
 # write the dicts back in LRU order, so the cache state after a batch is
 # exactly what per-access :meth:`Cache.access` calls would leave.
 
-def _store_in_1way(sets, data, bshift, cshift, wmask, ashift,
+def _store_in_1way(sets, segments, bshift, cshift, wmask, ashift,
                    area_misses, cmd_misses) -> int:
     n_sets = len(sets)
     tags = [-1] * n_sets
@@ -214,24 +215,25 @@ def _store_in_1way(sets, data, bshift, cshift, wmask, ashift,
         if ways:
             ((tags[s], dirty[s]),) = ways.items()
     writebacks = 0
-    for entry in data:
-        block = entry >> bshift
-        s = block % n_sets
-        if tags[s] == block:
-            if entry & wmask:
-                dirty[s] = True
-            continue
-        area_misses[block >> ashift] += 1
-        cmd_misses[entry >> cshift & 3] += 1
-        if dirty[s]:
-            writebacks += 1
-        tags[s] = block
-        dirty[s] = entry & wmask != 0
+    for segment in segments:
+        for entry in segment:
+            block = entry >> bshift
+            s = block % n_sets
+            if tags[s] == block:
+                if entry & wmask:
+                    dirty[s] = True
+                continue
+            area_misses[block >> ashift] += 1
+            cmd_misses[entry >> cshift & 3] += 1
+            if dirty[s]:
+                writebacks += 1
+            tags[s] = block
+            dirty[s] = entry & wmask != 0
     sets[:] = [{tag: d} if tag >= 0 else {} for tag, d in zip(tags, dirty)]
     return writebacks
 
 
-def _store_in_2way(sets, data, bshift, cshift, wmask, ashift,
+def _store_in_2way(sets, segments, bshift, cshift, wmask, ashift,
                    area_misses, cmd_misses) -> int:
     n_sets = len(sets)
     mru = [-1] * n_sets
@@ -244,29 +246,30 @@ def _store_in_2way(sets, data, bshift, cshift, wmask, ashift,
             if older:
                 ((lru[s], lru_dirty[s]),) = older
     writebacks = 0
-    for entry in data:
-        block = entry >> bshift
-        s = block % n_sets
-        if mru[s] == block:
-            if entry & wmask:
-                mru_dirty[s] = True
-            continue
-        if lru[s] == block:
-            # Hit in the LRU way: the two ways swap places.
+    for segment in segments:
+        for entry in segment:
+            block = entry >> bshift
+            s = block % n_sets
+            if mru[s] == block:
+                if entry & wmask:
+                    mru_dirty[s] = True
+                continue
+            if lru[s] == block:
+                # Hit in the LRU way: the two ways swap places.
+                lru[s] = mru[s]
+                mru[s] = block
+                dirty = lru_dirty[s]
+                lru_dirty[s] = mru_dirty[s]
+                mru_dirty[s] = dirty or entry & wmask != 0
+                continue
+            area_misses[block >> ashift] += 1
+            cmd_misses[entry >> cshift & 3] += 1
+            if lru_dirty[s]:
+                writebacks += 1
             lru[s] = mru[s]
-            mru[s] = block
-            dirty = lru_dirty[s]
             lru_dirty[s] = mru_dirty[s]
-            mru_dirty[s] = dirty or entry & wmask != 0
-            continue
-        area_misses[block >> ashift] += 1
-        cmd_misses[entry >> cshift & 3] += 1
-        if lru_dirty[s]:
-            writebacks += 1
-        lru[s] = mru[s]
-        lru_dirty[s] = mru_dirty[s]
-        mru[s] = block
-        mru_dirty[s] = entry & wmask != 0
+            mru[s] = block
+            mru_dirty[s] = entry & wmask != 0
     sets[:] = [{old: old_d, new: new_d} if old >= 0
                else {new: new_d} if new >= 0 else {}
                for old, old_d, new, new_d
@@ -274,49 +277,51 @@ def _store_in_2way(sets, data, bshift, cshift, wmask, ashift,
     return writebacks
 
 
-def _store_in_dict(sets, data, bshift, cshift, wmask, ashift,
+def _store_in_dict(sets, segments, bshift, cshift, wmask, ashift,
                    area_misses, cmd_misses, max_ways) -> int:
     n_sets = len(sets)
     absent = _ABSENT
     writebacks = 0
-    for entry in data:
-        block = entry >> bshift
-        ways = sets[block % n_sets]
-        dirty = ways.pop(block, absent)
-        if dirty is not absent:
-            # Hit: re-insert at the MRU end; a write dirties.
-            ways[block] = True if entry & wmask else dirty
-            continue
-        area_misses[block >> ashift] += 1
-        cmd_misses[entry >> cshift & 3] += 1
-        if len(ways) >= max_ways:
-            if ways.pop(next(iter(ways))):
-                writebacks += 1
-        # Write-allocate: a write miss installs a dirty block.
-        ways[block] = entry & wmask != 0
+    for segment in segments:
+        for entry in segment:
+            block = entry >> bshift
+            ways = sets[block % n_sets]
+            dirty = ways.pop(block, absent)
+            if dirty is not absent:
+                # Hit: re-insert at the MRU end; a write dirties.
+                ways[block] = True if entry & wmask else dirty
+                continue
+            area_misses[block >> ashift] += 1
+            cmd_misses[entry >> cshift & 3] += 1
+            if len(ways) >= max_ways:
+                if ways.pop(next(iter(ways))):
+                    writebacks += 1
+            # Write-allocate: a write miss installs a dirty block.
+            ways[block] = entry & wmask != 0
     return writebacks
 
 
-def _store_through(sets, data, bshift, ashift, area_misses, cmd_misses,
+def _store_through(sets, segments, bshift, ashift, area_misses, cmd_misses,
                    max_ways) -> None:
     # Every write (hit or miss) goes to memory, write misses do not
     # allocate, and blocks are never dirty.
     n_sets = len(sets)
     absent = _ABSENT
-    for packed in data:
-        block = packed >> bshift
-        ways = sets[block % n_sets]
-        if ways.pop(block, absent) is not absent:
+    for segment in segments:
+        for packed in segment:
+            block = packed >> bshift
+            ways = sets[block % n_sets]
+            if ways.pop(block, absent) is not absent:
+                ways[block] = False
+                continue
+            area_misses[block >> ashift] += 1
+            code = packed & 3
+            cmd_misses[code] += 1
+            if code:
+                continue
+            if len(ways) >= max_ways:
+                ways.pop(next(iter(ways)))
             ways[block] = False
-            continue
-        area_misses[block >> ashift] += 1
-        code = packed & 3
-        cmd_misses[code] += 1
-        if code:
-            continue
-        if len(ways) >= max_ways:
-            ways.pop(next(iter(ways)))
-        ways[block] = False
 
 
 class Cache:
@@ -403,7 +408,27 @@ class Cache:
         """
         if totals is None:
             totals = count_entries_packed(data)
-        self._replay(data, totals)
+        self._replay((data,), totals)
+
+    def access_windows(self, data, window: int) -> list[int]:
+        """:meth:`access_many_packed` that also reports misses per window.
+
+        Returns the running miss count after every ``window`` entries
+        (and after the last, partial window), read between segments of
+        one kernel call, so statistics and final state equal a one-call
+        replay's.
+        """
+        misses: list[int] = []
+        cmd_misses = [0] * len(CMD_BY_CODE)
+
+        def segments():
+            for start in range(0, len(data), window):
+                yield data[start:start + window]
+                misses.append(sum(cmd_misses))
+
+        self._replay(segments(), count_entries_packed(data),
+                     cmd_misses=cmd_misses)
+        return misses
 
     def access_runs(self, runs, totals) -> None:
         """Replay :func:`compact_runs` output (store-in caches only).
@@ -413,32 +438,37 @@ class Cache:
         uncompacted trace; the result equals :meth:`access_many_packed` over the
         uncompacted trace.
         """
-        self._replay(runs, totals, runs=True)
+        self._replay((runs,), totals, runs=True)
 
-    def _replay(self, data, totals, runs: bool = False) -> None:
+    def _replay(self, segments, totals, runs: bool = False,
+                cmd_misses: list[int] | None = None) -> None:
+        """Replay entry ``segments`` with one kernel call.  The kernel
+        counts misses into ``cmd_misses`` as it goes, so a caller that
+        passes its own list can read it between segments."""
         area_totals, cmd_totals = totals
         area_misses = [0] * len(AREAS)
-        cmd_misses = [0] * len(CMD_BY_CODE)
+        if cmd_misses is None:
+            cmd_misses = [0] * len(CMD_BY_CODE)
         ashift = AREA_SHIFT - self._block_shift
         if self._store_in:
             layout = (3, 1, 7) if runs else (self._block_shift + 2, 0, 3)
             if self._max_ways == 1:
-                writebacks = _store_in_1way(self._sets, data, *layout, ashift,
-                                            area_misses, cmd_misses)
+                writebacks = _store_in_1way(self._sets, segments, *layout,
+                                            ashift, area_misses, cmd_misses)
             elif self._max_ways == 2:
-                writebacks = _store_in_2way(self._sets, data, *layout, ashift,
-                                            area_misses, cmd_misses)
+                writebacks = _store_in_2way(self._sets, segments, *layout,
+                                            ashift, area_misses, cmd_misses)
             else:
-                writebacks = _store_in_dict(self._sets, data, *layout, ashift,
-                                            area_misses, cmd_misses,
+                writebacks = _store_in_dict(self._sets, segments, *layout,
+                                            ashift, area_misses, cmd_misses,
                                             self._max_ways)
             block_fetches = sum(cmd_misses)
             if self._ws_no_fetch:
                 block_fetches -= cmd_misses[2]
             through_writes = 0
         else:
-            _store_through(self._sets, data, self._block_shift + 2, ashift,
-                           area_misses, cmd_misses, self._max_ways)
+            _store_through(self._sets, segments, self._block_shift + 2,
+                           ashift, area_misses, cmd_misses, self._max_ways)
             writebacks = 0
             block_fetches = cmd_misses[0]
             through_writes = cmd_totals[1] + cmd_totals[2]

@@ -16,11 +16,13 @@ through three cooperating instruments:
   ``(workload predicate × interpreter module)`` pairs, rendered as
   collapsed-stack flamegraph input and text top-N reports.
 
-Everything is **off by default and zero-cost when disabled**: the
-module-level :func:`enabled` flag is consulted once per collected run
-(in :func:`repro.tools.collect.collect`), never per microstep.  When
+Everything is **off by default**: the module-level :func:`enabled`
+flag is consulted once per collected run (in
+:func:`repro.tools.collect.collect`), never per microstep.  When
 disabled, the machine uses the plain
-:class:`~repro.core.stats.StatsCollector` and no obs object exists.
+:class:`~repro.core.stats.StatsCollector` and no obs object exists;
+when enabled, the run still takes the fused fast path (see
+:class:`~repro.obs.session.ObservedStatsCollector`).
 Enable per process with :func:`enable` / the ``PSI_OBS=1`` environment
 variable, or scoped with the :func:`observed` context manager; the
 ``psi-eval profile`` subcommand does it for you.

@@ -25,11 +25,11 @@ batched emissions (``emit(..., times=n)``, ``mem_access_n``) as a
 repeat count in the reference stream, and the fused table models it
 the same way (an ``emissions`` entry with a ``times`` field).
 
-Because :class:`RecordingStatsCollector` is a *subclass* of
-:class:`~repro.core.stats.StatsCollector`, the machine's fused-dispatch
-gate (an exact ``type`` check) turns fusion off for mining runs — the
-journal therefore always records the true per-op reference stream,
-never the already-fused one.
+Mining runs ask for ``MachineConfig(fused=False)`` explicitly: every
+collector kind takes the fused path by default, and fused sites bill
+whole superinstructions without calling the recording methods, so
+only the per-op loop journals the true reference stream rather than
+the already-fused one.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ class RecordingStatsCollector(StatsCollector):
         self.events.append((times << 19) | (area << 16)
                            | (MEM_PAIR_BASE[cmd.code] + self.module.idx))
 
-    # A machine never routes fused dispatch at this collector (the gate
-    # is an exact type check), but if a superinstruction is billed
-    # explicitly — tests, future callers — replay it through the
-    # journaling primitives so the stream stays complete.
+    # Mining runs are unfused (see :func:`record_workload`), but if a
+    # superinstruction is billed explicitly — tests, future callers —
+    # replay it through the journaling primitives so the stream stays
+    # complete.
     def emit_fused(self, fused) -> None:
         fused.replay(self)
 
@@ -182,6 +182,7 @@ def rank(counts: Counter, top: int = 20,
 
 def record_workload(name: str) -> RecordingStatsCollector:
     """Run one registered workload unfused and return its journal."""
+    from repro.core.machine import MachineConfig
     from repro.tools.collect import collect
     from repro.workloads import get
 
@@ -190,6 +191,7 @@ def record_workload(name: str) -> RecordingStatsCollector:
     collect(workload.source, workload.goal,
             all_solutions=workload.all_solutions,
             record_trace=False, with_cache=False,
+            machine_config=MachineConfig(fused=False),
             stats_collector=rec,
             setup_goals=workload.setup_goals)
     return rec

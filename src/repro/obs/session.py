@@ -3,27 +3,28 @@
 One :class:`ObsSession` instruments exactly one collected run.  It
 owns the run's :class:`~repro.obs.trace.Tracer`,
 :class:`~repro.obs.profile.MicroProfile` and per-run
-:class:`~repro.obs.metrics.MetricsRegistry`, and provides the three
+:class:`~repro.obs.metrics.MetricsRegistry`, and provides the
 attachment points :func:`repro.tools.collect.collect` uses:
 
 * :attr:`ObsSession.collector` — an :class:`ObservedStatsCollector`
-  (drop-in for :class:`~repro.core.stats.StatsCollector`) that keeps a
-  deterministic microstep clock, attributes every emission to the
-  machine's current ``(predicate, module)`` context, traces predicate
-  slices and sampled microroutine emissions;
-* :meth:`ObsSession.cache_sampler` — a sampler reading the online
-  cache's hit ratio over fixed windows of accounted accesses, driven
-  by the collector's billing path (keeping the memory fan-out on its
-  single-listener fast path);
+  that bills exactly like the plain collector, fused dispatch
+  included, and attributes steps per predicate by swapping count
+  banks at predicate boundaries; it opens the ``calls`` slices and
+  takes the ``(trace length, clock)`` marks;
 * :attr:`ObsSession.stack_observer` — a
   :class:`~repro.core.memory.MemorySystem` observer recording
   stack-area reclaim events (the PSI reclaims stacks by truncation on
-  proceed/TRO/backtrack — it has no garbage collector).
+  proceed/TRO/backtrack — it has no garbage collector);
+* :meth:`ObsSession.finish` — after the run, replays the packed memory
+  feed into the cache in fixed windows (:func:`sample_cache_windows`),
+  samples the ``micro`` track from the same feed
+  (:func:`sample_micro`) and derives the per-run metrics.
 
 When observability is disabled none of this is constructed: the
-machine runs on the plain collector and the only residue of the
-subsystem is a handful of attribute stores per *call* (never per
-step), measured by the ``obs`` stage of ``scripts/bench_eval.py``.
+machine runs on the plain collector, and what it pays for the
+subsystem is a predicate-label store per call, proceed and backtrack
+plus the running clock bump beside each billing (the clock is what
+stamps the exact-time tracks).
 
 The finished artifact is a :class:`RunObservation` — trace + profile +
 metrics snapshot — attached to the
@@ -36,11 +37,16 @@ boundary, to be merged into the parent's registry).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import zip_longest
+from operator import attrgetter, mul
 from typing import IO
 
-from repro.core.stats import N_AREAS, StatsCollector
-from repro.core.micro import MEM_PAIR_BASE, MEM_STEPS, Module
+from repro.core import micro as _micro
+from repro.core.memory import AREA_SHIFT, AREAS
+from repro.core.micro import MEM_ROUTINE_BY_CODE, MODULE_BY_INDEX, N_MODULES, Module
+from repro.core.stats import StatsCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import MicroProfile
 from repro.obs.trace import (
@@ -58,304 +64,121 @@ class ObsConfig:
 
     #: ring-buffer capacity per trace track
     trace_capacity: int = 65536
-    #: record one microroutine span per this many emissions
+    #: record one memory-microinstruction span per this many trace entries
     micro_sample_interval: int = 512
-    #: sample the cache hit ratio once per this many memory accesses
+    #: sample the cache hit ratio once per this many trace entries
     cache_window: int = 8192
-    #: profiler attribution: 1 = exact, N > 1 = every Nth emission
-    profile_interval: int = 1
 
 
 class ObservedStatsCollector(StatsCollector):
-    """A stats collector that additionally feeds tracer and profiler.
+    """A stats collector that attributes its counts per predicate.
 
-    The deterministic clock :attr:`now` is the cumulative microstep
-    count of everything emitted so far; all trace timestamps come from
-    it, which is why traces are reproducible bit-for-bit.
+    Billing is the base class's, fused dispatch included: the collector
+    overrides no recording method.  Attribution comes from *count
+    banks* — one ``(_pair_counts, _mem_counts, _fused_counts)`` triple
+    per predicate label.  :attr:`predicate` is a property whose setter
+    swaps the new label's bank in (creating it the first time), so
+    every emission, inlined fused increment and memory access bills
+    straight into the bank of the predicate being resolved.  Pair
+    indices carry the interpreter module, so a bank holds that
+    predicate's (predicate × module) counts exactly.  A swap is O(1):
+    one dict lookup and three attribute stores.
 
-    Counting goes through the same flat per-id lists as the base
-    collector, so an observed run bills identically to a plain one
-    (``tests/core/test_stream_equivalence.py`` pins this).  Profiler
-    attribution is *buffered*: consecutive emissions under the same
-    ``(predicate, module)`` identity accumulate into one pending sample
-    that is flushed when either changes (and in :meth:`close`), cutting
-    per-emission obs work to a couple of attribute compares.  The flush
-    points never move steps between profile buckets — only the number
-    of ``profile.add`` calls changes.  This class is the exact-mode
-    (``profile_interval == 1``, the default) collector; statistical
-    sampling lives in :class:`SampledObservedStatsCollector`.
+    The base class's running :attr:`clock` is the trace clock.  At a
+    swap the collector opens the outgoing predicate's ``calls`` slice
+    lazily — only when the predicate billed a step since it was
+    swapped in, and only when it is not the slice already open — and
+    records a ``(trace length, clock)`` mark, from which the session
+    stamps the trace-windowed ``cache`` and ``micro`` samples.
+
+    :meth:`close` folds every bank into the profile and sums the banks
+    into the collector's own lists, so the reporting views
+    (``routine_counts``, ``mem_counts``, ``total_steps``) read exactly
+    what a plain collector would.  Before :meth:`close` they see only
+    the current predicate's bank.
     """
 
-    __slots__ = ("tracer", "profile", "_now_base", "_open_pred",
-                 "_micro_interval", "_micro_tick", "_exact", "_attribute",
-                 "_buf_pred", "_buf_module", "_buf_steps",
-                 "_cache_sampler", "_win_n", "_win_limit")
+    __slots__ = ("tracer", "profile", "_pred", "_banks", "_totals", "_mark",
+                 "_open_pred", "_feed", "marks")
 
-    #: window-counter sentinel when no cache sampler is attached: the
-    #: per-access tick compares against it and never fires
-    _NO_WINDOW = 1 << 62
-
-    def __init__(self, tracer: Tracer, profile: MicroProfile,
-                 micro_sample_interval: int = 512):
-        super().__init__()
+    def __init__(self, tracer: Tracer, profile: MicroProfile):
         self.tracer = tracer
         self.profile = profile
-        self._now_base = 0
+        self._pred: str | None = None
+        self._banks: dict[str, tuple[list, list, list]] = {}
+        self._totals: tuple[list, list, list] | None = None
+        self._mark = 0
         self._open_pred: str | None = None
-        self._micro_interval = micro_sample_interval
-        self._micro_tick = 0
-        self._exact = profile.sample_interval == 1
-        self._attribute = (profile.add if self._exact
-                           else profile.add_sampled)
-        self._buf_pred: str | None = None
-        self._buf_module = None
-        self._buf_steps = 0
-        self._cache_sampler = None
-        self._win_n = 0
-        self._win_limit = self._NO_WINDOW
+        self._feed = array("q")
+        #: ``(trace length, clock)`` at each predicate change that
+        #: followed billed steps, plus the start and the close.
+        self.marks: list[tuple[int, int]] = [(0, 0)]
+        super().__init__()
 
-    def attach_cache_sampler(self, sampler: "CacheWindowSampler") -> None:
-        """Drive ``sampler`` from this collector's accounted accesses."""
-        self._cache_sampler = sampler
-        self._win_limit = sampler.window
-        self._win_n = 0
+    def attach_feed(self, data) -> None:
+        """Take marks against ``data``, the run's packed memory feed."""
+        self._feed = data
 
-    @property
-    def now(self) -> int:
-        """The deterministic clock: cumulative microsteps billed so far.
+    def _set_predicate(self, label: str) -> None:
+        if label is self._pred:
+            return
+        clock = self.clock
+        if clock != self._mark:
+            self._end_visit(clock)
+        bank = self._banks.get(label)
+        if bank is None:
+            bank = self._banks[label] = self._new_bank()
+        self._pair_counts, self._mem_counts, self._fused_counts = bank
+        self._pred = label
 
-        Derived as folded base + pending buffer so the hot paths never
-        maintain a separate counter; every read point sees exactly the
-        value an eagerly-updated clock would hold.
-        """
-        return self._now_base + self._buf_steps
+    predicate = property(attrgetter("_pred"), _set_predicate)
 
-    # -- recording overrides ---------------------------------------------------
-    #
-    # The fast path of every override is: fold the count, then either
-    # grow the pending buffer (two identity compares, one add) when the
-    # (predicate, module) context is unchanged, or roll the buffer.
-    # Rolling also opens the predicate slice when the predicate moved,
-    # which keeps the invariant the fast path relies on: whenever
-    # ``pred is self._buf_pred``, the slice for ``pred`` is already
-    # open, so the hot path never has to re-check ``_open_pred``.
-
-    def _roll_buffer(self, pred, module, steps: int) -> None:
-        buffered = self._buf_steps
-        if buffered:
-            self.profile.add(self._buf_pred, self._buf_module, buffered)
-            self._now_base += buffered
-        self._buf_pred = pred
-        self._buf_module = module
-        self._buf_steps = steps
+    def _end_visit(self, clock: int) -> None:
+        """The current predicate billed steps since ``_mark``: open its
+        slice (unless it is the open one) and take a mark."""
+        pred = self._pred
         if pred is not self._open_pred:
             self._open_pred = pred
-            self.tracer.begin_slice(TRACK_CALLS, pred, self._now_base)
+            self.tracer.begin_slice(TRACK_CALLS, pred, self._mark)
+        self._mark = clock
+        self.marks.append((len(self._feed), clock))
 
-    def emit(self, routine, times: int = 1) -> None:
-        module = self.module
-        index = routine.pair_base + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        steps = routine.n_steps * times
-        pred = self.predicate
-        if pred is self._buf_pred and module is self._buf_module:
-            self._buf_steps += steps
-        else:
-            self._roll_buffer(pred, module, steps)
-        tick = self._micro_tick + times
-        if tick < self._micro_interval:
-            self._micro_tick = tick
-        else:
-            self._micro_tick = 0
-            self.tracer.complete(TRACK_MICRO, routine.name,
-                                 self._now_base + self._buf_steps - steps,
-                                 steps, {"module": module.value})
-
-    def emit_in(self, module, routine, times: int = 1) -> None:
-        index = routine.pair_base + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        steps = routine.n_steps * times
-        pred = self.predicate
-        if pred is self._buf_pred and module is self._buf_module:
-            self._buf_steps += steps
-        else:
-            self._roll_buffer(pred, module, steps)
-
-    def mem_access(self, cmd, area) -> None:
-        code = cmd.code
-        self._mem_counts[code * N_AREAS + area] += 1
-        module = self.module
-        index = MEM_PAIR_BASE[code] + module.idx
-        try:
-            self._pair_counts[index] += 1
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += 1
-        steps = MEM_STEPS[code]
-        pred = self.predicate
-        if pred is self._buf_pred and module is self._buf_module:
-            self._buf_steps += steps
-        else:
-            self._roll_buffer(pred, module, steps)
-        n = self._win_n + 1
-        if n < self._win_limit:
-            self._win_n = n
-        else:
-            self._win_n = 0
-            self._cache_sampler.sample()
-
-    def mem_access_n(self, cmd, area, times: int) -> None:
-        code = cmd.code
-        self._mem_counts[code * N_AREAS + area] += times
-        module = self.module
-        index = MEM_PAIR_BASE[code] + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        steps = MEM_STEPS[code] * times
-        pred = self.predicate
-        if pred is self._buf_pred and module is self._buf_module:
-            self._buf_steps += steps
-        else:
-            self._roll_buffer(pred, module, steps)
-        n = self._win_n + times
-        if n < self._win_limit:
-            self._win_n = n
-        else:
-            self._win_n = 0
-            self._cache_sampler.sample()
-
-    def emit_fused(self, fused) -> None:
-        """Replay a superinstruction unfused through the observed paths.
-
-        The machine's fused dispatch is gated on the *exact* base
-        collector class, so observed runs normally never see this call;
-        it exists so a superinstruction applied to any collector kind
-        lands in identical buckets (profile attribution included —
-        replay goes through :meth:`emit_in`/:meth:`mem_access_n`, whose
-        run-length buffering never moves steps between (predicate,
-        module) slices).
-        """
-        fused.replay(self)
-
-    def emit_fused_dyn(self, fused) -> None:
-        fused.replay(self)
-
-    def _flush_profile(self) -> None:
-        buffered = self._buf_steps
-        if buffered:
-            self.profile.add(self._buf_pred, self._buf_module, buffered)
-            self._now_base += buffered
-            self._buf_pred = None
-            self._buf_module = None
-            self._buf_steps = 0
+    def _new_bank(self) -> tuple[list, list, list]:
+        if self._totals is not None:
+            # Closed: later billing goes to the totals the views read.
+            return self._totals
+        return ([0] * len(self._pair_counts), [0] * len(self._mem_counts),
+                [0] * len(self._fused_counts))
 
     def close(self) -> None:
-        """Flush pending attribution, end the open predicate slice."""
-        self._flush_profile()
-        self.tracer.finish(self.now)
+        """End the last slice, fold the banks into profile and totals."""
+        if self._totals is not None:
+            return
+        clock = self.clock
+        if clock != self._mark:
+            self._end_visit(clock)
+        self.tracer.finish(clock)
         self._open_pred = None
+        weights = [routine.n_steps for routine in _micro.routines_by_rid()]
+        add = self.profile.add
+        banks = list(self._banks.items())
+        for label, bank in banks:
+            self._pair_counts, self._mem_counts, self._fused_counts = bank
+            self._flush_fused()
+            pairs = self._pair_counts
+            for midx, module in enumerate(MODULE_BY_INDEX):
+                steps = sum(map(mul, pairs[midx::N_MODULES], weights))
+                if steps:
+                    add(label, module, steps)
+        self._totals = tuple(
+            list(map(sum, zip_longest(*lists, fillvalue=0)))
+            for lists in zip(*(bank for _, bank in banks)))
+        self._pair_counts, self._mem_counts, self._fused_counts = self._totals
+        self._banks = {}
 
 
-class SampledObservedStatsCollector(ObservedStatsCollector):
-    """Statistical attribution (``profile_interval > 1``): unbuffered.
-
-    Every emission goes straight to ``profile.add_sampled`` so the
-    profiler's every-Nth-call sampling keeps its meaning; the exact
-    class's run-length buffering would collapse the sample population.
-    Counting and clocking are identical to the exact collector; with
-    the buffer permanently empty, the clock advances through
-    ``_now_base`` directly.
-    """
-
-    __slots__ = ()
-
-    def emit(self, routine, times: int = 1) -> None:
-        module = self.module
-        index = routine.pair_base + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        steps = routine.n_steps * times
-        pred = self.predicate
-        if pred is not self._open_pred:
-            self._open_pred = pred
-            self.tracer.begin_slice(TRACK_CALLS, pred, self.now)
-        self._attribute(pred, module, steps)
-        self._now_base += steps
-        tick = self._micro_tick + times
-        if tick < self._micro_interval:
-            self._micro_tick = tick
-        else:
-            self._micro_tick = 0
-            self.tracer.complete(TRACK_MICRO, routine.name,
-                                 self.now - steps, steps,
-                                 {"module": module.value})
-
-    def emit_in(self, module, routine, times: int = 1) -> None:
-        index = routine.pair_base + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        steps = routine.n_steps * times
-        self._attribute(self.predicate, module, steps)
-        self._now_base += steps
-
-    def mem_access(self, cmd, area) -> None:
-        code = cmd.code
-        self._mem_counts[code * N_AREAS + area] += 1
-        module = self.module
-        index = MEM_PAIR_BASE[code] + module.idx
-        try:
-            self._pair_counts[index] += 1
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += 1
-        steps = MEM_STEPS[code]
-        self._attribute(self.predicate, module, steps)
-        self._now_base += steps
-        n = self._win_n + 1
-        if n < self._win_limit:
-            self._win_n = n
-        else:
-            self._win_n = 0
-            self._cache_sampler.sample()
-
-    def mem_access_n(self, cmd, area, times: int) -> None:
-        code = cmd.code
-        self._mem_counts[code * N_AREAS + area] += times
-        module = self.module
-        index = MEM_PAIR_BASE[code] + module.idx
-        try:
-            self._pair_counts[index] += times
-        except IndexError:
-            self._grow_pairs(index)
-            self._pair_counts[index] += times
-        pred = self.predicate
-        steps = MEM_STEPS[code]
-        for _ in range(times):
-            self._attribute(pred, module, steps)
-        self._now_base += steps * times
-        n = self._win_n + times
-        if n < self._win_limit:
-            self._win_n = n
-        else:
-            self._win_n = 0
-            self._cache_sampler.sample()
+#: ``stacks``-track counter name per memory area.
+_TOP_NAMES = tuple(f"top.{area.name.lower()}" for area in AREAS)
 
 
 class StackObserver:
@@ -364,7 +187,7 @@ class StackObserver:
     The PSI frees stack space exclusively by truncation — on proceed,
     tail-recursion reclaim and backtracking — so each ``settop`` that
     shrinks an area is one "GC-free" deallocation event: a counter
-    sample of the new top plus the reclaimed word count.
+    sample of the new top, stamped with the exact clock.
     """
 
     __slots__ = ("tracer", "collector")
@@ -373,54 +196,70 @@ class StackObserver:
         self.tracer = tracer
         self.collector = collector
 
-    def on_settop(self, area, offset: int, old_top: int) -> None:
-        if offset < old_top:
-            self.tracer.counter(TRACK_STACKS, f"top.{area.name.lower()}",
-                                self.collector.now, offset)
+    def on_settop(self, area: int, offset: int) -> None:
+        self.tracer.counter(TRACK_STACKS, _TOP_NAMES[area],
+                            self.collector.clock, offset)
 
 
-class CacheWindowSampler:
-    """Samples the online cache over windows of accounted accesses.
+def clock_at(marks: list[tuple[int, int]], positions) -> list[int]:
+    """Clock stamps for ascending trace ``positions`` (entry counts).
 
-    Driven by the observed collector's billing path rather than
-    attached as a memory listener: the collector counts accounted
-    accesses inline (two integer ops) and calls :meth:`sample` once
-    per ``window``.  Keeping the sampler off the listener chain keeps
-    :class:`~repro.core.memory.MemorySystem`'s fan-out on its
-    single-listener fast path when only the cache is attached — the
-    dominant obs-enabled configuration.  A window boundary landing
-    inside a block access samples at billing time, before the block's
-    remaining words reach the cache; windowed ratios are sampled,
-    derived data, so the one-block skew is immaterial.
-
-    Emits a windowed hit-ratio counter event on the ``cache`` track and
-    feeds the ``psi.cache.window_hit_ratio`` histogram.
+    Exact where a position is a mark's trace length; between the two
+    marks that enclose it, linear in the trace length (the marks are
+    taken at predicate changes, so a stamp is off by at most one
+    predicate visit).  The last mark must reach the last position.
     """
+    stamps = []
+    j = 0
+    for position in positions:
+        while marks[j][0] < position:
+            j += 1
+        end, clock = marks[j]
+        if end != position and j:
+            start, begin = marks[j - 1]
+            clock = begin + (clock - begin) * (position - start) // (end - start)
+        stamps.append(clock)
+    return stamps
 
-    __slots__ = ("cache", "tracer", "histogram", "collector", "window",
-                 "_hits", "_misses")
 
-    def __init__(self, cache, tracer: Tracer, histogram,
-                 collector: ObservedStatsCollector, window: int = 8192):
-        self.cache = cache
-        self.tracer = tracer
-        self.histogram = histogram
-        self.collector = collector
-        self.window = window
-        self._hits = 0
-        self._misses = 0
+def sample_cache_windows(cache, tracer: Tracer, histogram, data,
+                         marks: list[tuple[int, int]], window: int) -> None:
+    """The ``cache`` track: windowed hit ratios from the recorded feed.
 
-    def sample(self) -> None:
-        stats = self.cache.stats
-        hits, misses = stats.hits, stats.misses
-        window_hits = hits - self._hits
-        window_misses = misses - self._misses
-        self._hits, self._misses = hits, misses
-        accesses = window_hits + window_misses
-        ratio = 100.0 * window_hits / accesses if accesses else 100.0
-        self.tracer.counter(TRACK_CACHE, "hit_ratio",
-                            self.collector.now, round(ratio, 3))
-        self.histogram.observe(ratio)
+    The cache is never a live listener on an observed run: like a plain
+    run it replays the packed memory feed once the run has finished, in
+    one kernel call (:meth:`Cache.access_windows`) that reports the
+    running miss count after every ``window`` entries.  Each window
+    therefore holds exactly ``window`` accesses, and the cache ends in
+    the same state as after a plain run's replay.  Each full window
+    emits a hit-ratio counter, stamped by :func:`clock_at` at the
+    window's last entry, and feeds ``histogram``.
+    """
+    misses = cache.access_windows(data, window)
+    ends = range(window, len(data) + 1, window)
+    previous = 0
+    for ts, total in zip(clock_at(marks, ends), misses):
+        ratio = 100.0 * (window - (total - previous)) / window
+        previous = total
+        tracer.counter(TRACK_CACHE, "hit_ratio", ts, round(ratio, 3))
+        histogram.observe(ratio)
+
+
+def sample_micro(tracer: Tracer, data, marks: list[tuple[int, int]],
+                 interval: int) -> None:
+    """The ``micro`` track: every ``interval``-th entry of the feed.
+
+    Each trace entry is one memory-access microinstruction; the span is
+    named after its microroutine, lasts its step count and starts at
+    the :func:`clock_at` stamp of the entries before it.
+    """
+    positions = range(interval - 1, len(data), interval)
+    for position, ts in zip(positions, clock_at(marks, positions)):
+        packed = data[position]
+        routine = MEM_ROUTINE_BY_CODE[packed & 3]
+        area = AREAS[packed >> (2 + AREA_SHIFT)]
+        tracer.complete(TRACK_MICRO, routine.name, ts, routine.n_steps,
+                        {"area": area.name.lower()})
 
 
 @dataclass
@@ -455,30 +294,25 @@ class ObsSession:
         self.goal = goal
         self.config = config or ObsConfig()
         self.tracer = Tracer(capacity=self.config.trace_capacity)
-        self.profile = MicroProfile(self.config.profile_interval)
+        self.profile = MicroProfile()
         self.metrics = MetricsRegistry()
-        collector_cls = (ObservedStatsCollector
-                         if self.profile.sample_interval == 1
-                         else SampledObservedStatsCollector)
-        self.collector = collector_cls(
-            self.tracer, self.profile,
-            micro_sample_interval=self.config.micro_sample_interval)
+        self.collector = ObservedStatsCollector(self.tracer, self.profile)
         self.stack_observer = StackObserver(self.tracer, self.collector)
 
-    def cache_sampler(self, cache) -> CacheWindowSampler | None:
-        if cache is None:
-            return None
-        histogram = self.metrics.histogram("psi.cache.window_hit_ratio")
-        sampler = CacheWindowSampler(cache, self.tracer, histogram,
-                                     self.collector,
-                                     window=self.config.cache_window)
-        self.collector.attach_cache_sampler(sampler)
-        return sampler
-
-    def finish(self, cache=None) -> RunObservation:
-        """Close the trace, derive the per-run metrics, build the artifact."""
+    def finish(self, cache, feed) -> RunObservation:
+        """Close the trace, replay ``feed`` (the run's packed memory
+        feed) into ``cache`` (if any) in windows, sample the ``micro``
+        track, derive the per-run metrics and build the artifact."""
         collector = self.collector
         collector.close()
+        marks = collector.marks
+        if cache is not None:
+            sample_cache_windows(
+                cache, self.tracer,
+                self.metrics.histogram("psi.cache.window_hit_ratio"),
+                feed, marks, self.config.cache_window)
+        sample_micro(self.tracer, feed, marks,
+                     self.config.micro_sample_interval)
         metrics = self.metrics
         metrics.counter("psi.runs").inc()
         metrics.counter("psi.microsteps").inc(collector.total_steps)

@@ -3,7 +3,7 @@
 The paper's console tools sampled the PSI's *microinstruction stream*;
 this tracer does the modern equivalent for the reproduction.  Events
 are timestamped in **cumulative microsteps** (the machine's own clock,
-see :class:`~repro.obs.session.ObservedStatsCollector`), never in
+:attr:`repro.core.stats.StatsCollector.clock`), never in
 wall-clock time, so two executions of the same workload produce
 byte-identical traces — observability output is a pure function of the
 run, which keeps it compatible with the PR-1 deterministic evaluation
@@ -15,7 +15,7 @@ phases so the export is mechanical):
 
 * ``"X"`` — a *complete span*: something was active from ``ts`` for
   ``dur`` microsteps (goal-resolution slices per predicate, sampled
-  microroutine emissions);
+  memory microinstructions);
 * ``"i"`` — an *instant*: a point event (stack reclaims, cache
   writeback bursts);
 * ``"C"`` — a *counter* sample: a named value over time (windowed
@@ -51,6 +51,10 @@ STEP_NS = CYCLE_NS
 
 #: JSONL schema version, carried by the metadata record.
 SCHEMA_VERSION = 1
+
+#: One event line of :meth:`Tracer.to_jsonl` (shared: building an
+#: encoder per event costs more than encoding the event).
+_JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 class RingBuffer:
@@ -140,8 +144,8 @@ class TraceEvent:
 #: The tracks the session instruments.  Anything may open new tracks;
 #: these names are the documented schema.
 TRACK_CALLS = "calls"        # goal-resolution predicate slices
-TRACK_MICRO = "micro"        # sampled microroutine emissions
-TRACK_CACHE = "cache"        # windowed cache transactions
+TRACK_MICRO = "micro"        # sampled memory microinstructions
+TRACK_CACHE = "cache"        # windowed cache hit ratios
 TRACK_STACKS = "stacks"      # stack-area growth / reclaim events
 
 
@@ -240,9 +244,8 @@ class Tracer:
         fp.write(json.dumps({"meta": self.metadata()},
                             separators=(",", ":")) + "\n")
         events = self.events()
-        for event in events:
-            fp.write(json.dumps(event.to_dict(), separators=(",", ":"),
-                                sort_keys=True) + "\n")
+        encode = _JSONL_ENCODER.encode
+        fp.writelines(encode(event.to_dict()) + "\n" for event in events)
         return len(events)
 
     def to_chrome(self, fp: IO[str], process_name: str = "PSI") -> int:
@@ -282,9 +285,11 @@ class Tracer:
             if event.args:
                 record["args"] = event.args
             trace_events.append(record)
-        json.dump({"traceEvents": trace_events,
-                   "displayTimeUnit": "ms",
-                   "metadata": self.metadata()}, fp)
+        # ``json.dump`` would stream through the pure-Python encoder;
+        # ``dumps`` encodes at C speed to the same bytes.
+        fp.write(json.dumps({"traceEvents": trace_events,
+                             "displayTimeUnit": "ms",
+                             "metadata": self.metadata()}))
         return len(events)
 
 

@@ -228,25 +228,21 @@ def collect(program: str, goal: str, *,
     machine.wf.stats = stats
     trace = TraceRecorder() if record_trace else None
     cache = Cache(cache_config or CacheConfig()) if with_cache else None
-    # Deferred cache replay: without an observation session nothing
-    # reads ``cache.stats`` mid-run (the window sampler is the only
-    # live consumer), so the cache need not listen online.  Feeding it
-    # the packed trace afterwards — :meth:`Cache.access_many_packed`
-    # is access-for-access equivalent — keeps the memory system on its
-    # single-listener fast path for the whole run.
-    cache_feed = None
-    if cache is not None and session is None:
-        cache_feed = trace if trace is not None else TraceRecorder()
-    recorder = trace if trace is not None else cache_feed
+    # Deferred cache replay: the cache never listens online.  It is fed
+    # the packed memory trace after the run —
+    # :meth:`Cache.access_many_packed` is access-for-access equivalent —
+    # which keeps the memory system on its single-listener fast path.
+    # An observed run records the same feed: its cache windows and
+    # ``micro`` track are sampled from it after the run.
+    feed = None
+    if cache is not None or session is not None:
+        feed = trace if trace is not None else TraceRecorder()
+    recorder = trace if trace is not None else feed
     if recorder is not None:
         machine.mem.attach(recorder)
-    if cache is not None and cache_feed is None:
-        machine.mem.attach(cache)
     if session is not None:
         machine.mem.observer = session.stack_observer
-        # Driven by the collector's billing path, not a mem listener:
-        # keeps the fan-out on the single-listener fast path.
-        session.cache_sampler(cache)
+        session.collector.attach_feed(feed.data)
 
     solver = machine.solve(goal)
     # Manual iteration (exactly what ``solver.all()`` does) so each
@@ -285,16 +281,6 @@ def collect(program: str, goal: str, *,
 
     if recorder is not None:
         machine.mem.detach(recorder)
-    if cache is not None:
-        if cache_feed is not None:
-            # The collector already holds the per-(command, area) access
-            # totals — billing and trace notification are paired at
-            # every memory-system site — so the replay can skip its
-            # counting pass over the packed trace.
-            cache.access_many_packed(cache_feed.data,
-                                     totals=_totals_from_stats(stats))
-        else:
-            machine.mem.detach(cache)
     observation = None
     if session is not None:
         machine.mem.observer = None
@@ -304,8 +290,15 @@ def collect(program: str, goal: str, *,
         # unless ``MachineConfig.indexed`` is on).
         for key, value in machine.index_stats.items():
             session.metrics.counter(f"psi.index.{key}").inc(value)
-        observation = session.finish(cache)
+        # Replays the feed into the cache window by window.
+        observation = session.finish(cache, feed.data)
         obs.record_run(observation)
+    elif cache is not None:
+        # The collector already holds the per-(command, area) access
+        # totals — billing and trace notification are paired at
+        # every memory-system site — so the replay can skip its
+        # counting pass over the packed trace.
+        cache.access_many_packed(feed.data, totals=_totals_from_stats(stats))
     return CollectedRun(goal, succeeded, solutions, stats, trace, cache,
                         machine, observation,
                         answers=answers, counters=dict(machine.counters),

@@ -101,8 +101,8 @@ class TestRepeatedAndMixedBilling:
 
 class TestObservedReplay:
     def test_observed_collector_replays_unfused(self):
-        """The observed collector routes fused bills through replay,
-        so its profile attribution sees the per-op stream."""
+        """A fused bill on the observed collector (deferred into the
+        current predicate's bank) folds to the per-op replay's counts."""
         from repro.obs.profile import MicroProfile
         from repro.obs.session import ObservedStatsCollector
         from repro.obs.trace import Tracer

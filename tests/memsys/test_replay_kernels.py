@@ -115,3 +115,24 @@ def test_simulate_many_matches_simulate(config_list, bodies):
     trace.data.extend(body)
     for config, stats in zip(config_list, simulate_many(trace, config_list)):
         assert counters(stats) == counters(simulate(trace, config))
+
+
+@given(configs(), traces(n=2), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_windowed_replay_matches_per_access(config, warmup_and_body, window):
+    """``access_windows`` leaves per-access state and reports the
+    running miss count after every ``window`` entries."""
+    warmup, body = warmup_and_body
+    reference = Cache(config)
+    per_access(reference, warmup)
+    expected = []
+    for start in range(0, len(body), window):
+        per_access(reference, body[start:start + window])
+        expected.append(reference.stats.misses)
+
+    windowed = Cache(config)
+    per_access(windowed, warmup)
+    base = windowed.stats.misses
+    misses = windowed.access_windows(body, window)
+    assert state(windowed) == state(reference)
+    assert [base + n for n in misses] == expected

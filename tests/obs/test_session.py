@@ -92,6 +92,39 @@ class TestObservedRun:
             assert event.name.startswith("top.")
 
 
+class TestTraceWindowedTracks:
+    """The ``micro`` and ``cache`` tracks are sampled from the recorded
+    memory trace after the run (``docs/OBSERVABILITY.md``)."""
+
+    def test_clock_at_is_exact_at_marks_and_linear_between(self):
+        from repro.obs.session import clock_at
+
+        marks = [(0, 0), (10, 100), (10, 150), (20, 160)]
+        assert clock_at(marks, [0, 5, 10, 15, 20]) == [0, 50, 100, 155, 160]
+
+    def test_one_sample_per_window_and_interval(self):
+        workload = get("nreverse")
+        with obs.observed(cache_window=1024, micro_sample_interval=256):
+            run = collect(workload.source, workload.goal,
+                          all_solutions=workload.all_solutions,
+                          setup_goals=workload.setup_goals)
+        tracer = run.observation.tracer
+        entries = len(run.trace)
+        cache_events = tracer.events("cache")
+        micro_events = tracer.events("micro")
+        assert len(cache_events) == entries // 1024
+        assert len(micro_events) == entries // 256
+        histogram = run.observation.metrics_snapshot[
+            "psi.cache.window_hit_ratio"]
+        assert histogram["count"] == entries // 1024
+        for events in (cache_events, micro_events):
+            stamps = [event.ts for event in events]
+            assert stamps == sorted(stamps)
+            assert 0 <= stamps[0] and stamps[-1] <= run.stats.total_steps
+        assert {event.name for event in micro_events} <= {
+            "mem.read", "mem.write", "mem.write_stack"}
+
+
 class TestCachePurity:
     def test_summary_is_identical_with_and_without_obs(self):
         """The disk cache must store the same bytes either way."""
